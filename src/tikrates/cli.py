@@ -26,12 +26,13 @@ import numpy as np
 
 from . import conditions as cond
 from . import suites
-from .instances import INSTANCE_NAMES, NamedInstance, build, \
-    derive_ivi_constants, run_battery
+from .instances import CHECKS, INSTANCE_NAMES, NamedInstance, build, \
+    run_battery
 from .operators import SpectralOperator
 from .rates import (IN_RANGE, RANDOM_SPHERE, WORST_CASE_BASIS, NoiseModel,
                     infimum_rate, noise_free_rate, noisy_rate,
                     noisy_sweep_rows)
+from .tikhonov import min_norm_solution
 
 CONDITION_ALIASES = {
     "ssc": cond.STANDARD_SC, "standard_sc": cond.STANDARD_SC,
@@ -84,32 +85,20 @@ def _load_instance(args) -> NamedInstance:
         yvec, _ = op.data_from_ambient(y)
     else:
         yvec = op.data_vector(y)
-    u_dag = op.vector(yvec.coeffs / op.sigma)
-    return NamedInstance(name=path.stem, op=op, y=yvec, u_dagger=u_dag,
-                         expected={}, n=op.n)
+    return NamedInstance(name=path.stem, op=op, y=yvec,
+                         u_dagger=min_norm_solution(op, y), expected={},
+                         n=op.n)
 
 
 def _cmd_check(args) -> int:
-    inst = _load_instance(args)
     condition = CONDITION_ALIASES[args.condition]
-    if condition == cond.STANDARD_SC:
-        rep = cond.check_standard_sc(inst.op, inst.u_dagger, args.nu)
-    elif condition == cond.HVI:
-        rep = cond.check_hvi(inst.op, inst.u_dagger, args.nu, seed=args.seed)
-    elif condition == cond.SVI:
-        rep = cond.check_svi(inst.op, inst.u_dagger, args.nu, seed=args.seed)
-    elif condition == cond.SPECTRAL_TAIL:
-        rep = cond.check_spectral_tail(inst.op, inst.u_dagger, args.nu)
-    else:
-        if args.mu is None:
-            raise SystemExit("error: --mu is required for the ivi check")
-        beta, gamma = args.beta, args.gamma
-        if beta is None or gamma is None:
-            dbeta, dgamma = derive_ivi_constants(inst, args.mu, seed=args.seed)
-            beta = dbeta if beta is None else beta
-            gamma = dgamma if gamma is None else gamma
-        rep = cond.check_ivi(inst.op, inst.u_dagger, args.mu, beta, gamma,
-                             seed=args.seed)
+    flag = "mu" if condition == cond.IVI else "nu"
+    param = getattr(args, flag)
+    if param is None:
+        raise SystemExit(f"error: --{flag} is required for this condition")
+    inst = _load_instance(args)
+    rep = CHECKS[condition](inst, param, args.seed, beta=args.beta,
+                            gamma=args.gamma)
     text = _dump_json(rep.to_json(), args.output, not args.no_timestamp)
     print(text)
     return 0
@@ -256,10 +245,6 @@ def main(argv=None) -> int:
         args.command == "conformance" and not args.all)
     if needs_instance and args.instance is None:
         print("error: --instance is required", file=sys.stderr)
-        return 2
-    if args.command == "check" and CONDITION_ALIASES[args.condition] != \
-            cond.IVI and args.nu is None:
-        print("error: --nu is required for this condition", file=sys.stderr)
         return 2
     if args.n < 8:
         print("error: --n must be at least 8", file=sys.stderr)

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fitting import ls_line
-from .operators import CoeffVector, SpectralOperator, _require_same_frame
+from .operators import (CoeffVector, SpectralOperator, _require_same_frame,
+                        _spectral_atoms)
 
 CERTIFIED = "Certified"
 REFUTED_AT_N = "RefutedAtN"
@@ -397,14 +398,8 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
     if not 0.0 < nu < 2.0:
         raise ValueError("nu must lie in (0, 2)")
     _require_same_frame(u_dagger.frame, op.domain)
-    lam_all = op.lambdas
-    order = np.argsort(lam_all, kind="stable")
-    lam_sorted = lam_all[order]
-    mass = (u_dagger.coeffs ** 2)[order]
-    lam_u, inverse = np.unique(lam_sorted, return_inverse=True)
-    merged = np.zeros_like(lam_u)
-    np.add.at(merged, inverse, mass)
-    t_cum = np.cumsum(merged)
+    lam_u, mass = _spectral_atoms(op, u_dagger.coeffs ** 2)
+    t_cum = np.cumsum(mass)
     n = op.n
     diag = _decimate(lam_u, t_cum)
 
@@ -633,8 +628,8 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     gamma = float(gamma)
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must lie in (0, 1]")
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError("beta must be non-negative and finite")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     _require_same_frame(u_dagger.frame, op.domain)

@@ -139,6 +139,31 @@ def derive_ivi_constants(inst: NamedInstance, mu: float, *,
     return 4.0 * (1.0 + inst.u_dagger.norm()), 0.0 if mu == 1.0 else 0.5
 
 
+def _check_ivi(inst: NamedInstance, mu: float, seed: int, beta=None,
+               gamma=None):
+    if beta is None or gamma is None:
+        dbeta, dgamma = derive_ivi_constants(inst, mu, seed=seed)
+        beta = dbeta if beta is None else beta
+        gamma = dgamma if gamma is None else gamma
+    return cond.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma, seed=seed)
+
+
+#: Condition name -> check call ``(inst, param, seed, beta=None, gamma=None)``.
+#: Only ivi reads ``beta`` and ``gamma``; it derives the missing ones through
+#: :func:`derive_ivi_constants`.
+CHECKS = {
+    cond.STANDARD_SC: lambda inst, nu, seed, **_:
+        cond.check_standard_sc(inst.op, inst.u_dagger, nu),
+    cond.HVI: lambda inst, nu, seed, **_:
+        cond.check_hvi(inst.op, inst.u_dagger, nu, seed=seed),
+    cond.SVI: lambda inst, nu, seed, **_:
+        cond.check_svi(inst.op, inst.u_dagger, nu, seed=seed),
+    cond.SPECTRAL_TAIL: lambda inst, nu, seed, **_:
+        cond.check_spectral_tail(inst.op, inst.u_dagger, nu),
+    cond.IVI: _check_ivi,
+}
+
+
 def run_battery(inst: NamedInstance, *, seed: int = 0) -> list[dict]:
     """Run every expected (condition, parameter) check of an instance.
 
@@ -146,20 +171,7 @@ def run_battery(inst: NamedInstance, *, seed: int = 0) -> list[dict]:
     """
     rows = []
     for (condition, param), want in sorted(inst.expected.items()):
-        if condition == cond.STANDARD_SC:
-            rep = cond.check_standard_sc(inst.op, inst.u_dagger, param)
-        elif condition == cond.HVI:
-            rep = cond.check_hvi(inst.op, inst.u_dagger, param, seed=seed)
-        elif condition == cond.SVI:
-            rep = cond.check_svi(inst.op, inst.u_dagger, param, seed=seed)
-        elif condition == cond.SPECTRAL_TAIL:
-            rep = cond.check_spectral_tail(inst.op, inst.u_dagger, param)
-        elif condition == cond.IVI:
-            beta, gamma = derive_ivi_constants(inst, param, seed=seed)
-            rep = cond.check_ivi(inst.op, inst.u_dagger, param, beta, gamma,
-                                 seed=seed)
-        else:  # pragma: no cover - expected maps are built above
-            raise ValueError(f"unknown condition {condition!r}")
+        rep = CHECKS[condition](inst, param, seed)
         rows.append({"instance": inst.name, "condition": condition,
                      "parameter": param, "expected": want,
                      "computed": rep.verdict, "match": rep.verdict == want,

@@ -90,12 +90,6 @@ class DiscreteMeasure:
             return 0.0
         return float(np.sum(m * lam ** power))
 
-    def mass_below(self, lam: float, *, inclusive: bool) -> float:
-        """Cumulative mass of atoms strictly below (or up to) ``lam``."""
-        if inclusive:
-            return float(self.masses[self.lambdas <= lam].sum())
-        return float(self.masses[self.lambdas < lam].sum())
-
     def to_json(self) -> dict:
         return {"lambdas": self.lambdas.tolist(),
                 "masses": self.masses.tolist(),

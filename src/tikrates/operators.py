@@ -362,6 +362,18 @@ def spectral_projection_norm(op: SpectralOperator, u: CoeffVector,
     return float(np.sqrt(np.sum(u.coeffs[mask] ** 2)))
 
 
+def _spectral_atoms(op: SpectralOperator,
+                    mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct squared singular values in increasing order, with the sum of
+    ``mass`` (one entry per coordinate) over the coordinates at each."""
+    lam = op.lambdas
+    order = np.argsort(lam, kind="stable")
+    uniq, inverse = np.unique(lam[order], return_inverse=True)
+    merged = np.zeros_like(uniq)
+    np.add.at(merged, inverse, mass[order])
+    return uniq, merged
+
+
 def vector_measure(op: SpectralOperator, v: CoeffVector,
                    w: CoeffVector) -> DiscreteMeasure:
     """Discrete spectral measure pairing two domain vectors.
@@ -372,13 +384,6 @@ def vector_measure(op: SpectralOperator, v: CoeffVector,
     """
     _require_same_frame(v.frame, op.domain)
     _require_same_frame(w.frame, op.domain)
-    lam = op.lambdas
-    mass = v.coeffs * w.coeffs
-    order = np.argsort(lam, kind="stable")
-    lam, mass = lam[order], mass[order]
-    # merge runs of identical atom locations
-    uniq, inverse = np.unique(lam, return_inverse=True)
-    merged = np.zeros_like(uniq)
-    np.add.at(merged, inverse, mass)
-    keep = merged != 0.0
-    return DiscreteMeasure(uniq[keep], merged[keep])
+    lam, mass = _spectral_atoms(op, v.coeffs * w.coeffs)
+    keep = mass != 0.0
+    return DiscreteMeasure(lam[keep], mass[keep])

@@ -42,14 +42,15 @@ class NoiseModel:
     ``worst_case_basis`` probes every retained basis direction with both
     signs (deterministic, one trial); ``random_sphere`` draws seeded uniform
     directions; ``in_range`` pushes random vectors through the operator so
-    the perturbation stays in the range.  ``project_q`` keeps perturbations
-    inside the span of the retained directions, which is automatic for all
-    three kinds here.
+    the perturbation stays in the range.
     """
 
     kind: str = WORST_CASE_BASIS
     seed: int = 0
-    project_q: bool = True
+
+    def __post_init__(self):
+        if self.kind not in (WORST_CASE_BASIS, RANDOM_SPHERE, IN_RANGE):
+            raise ValueError(f"unknown noise kind {self.kind!r}")
 
     def default_trials(self) -> int:
         return 1 if self.kind == WORST_CASE_BASIS else 32
@@ -60,12 +61,9 @@ class NoiseModel:
         if self.kind == WORST_CASE_BASIS:
             eye = np.eye(op.n)
             return np.vstack([eye, -eye])
-        if self.kind == RANDOM_SPHERE:
-            x = rng.standard_normal((trials, op.n))
-        elif self.kind == IN_RANGE:
-            x = rng.standard_normal((trials, op.n)) * op.sigma
-        else:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+        x = rng.standard_normal((trials, op.n))
+        if self.kind == IN_RANGE:
+            x = x * op.sigma
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
@@ -107,8 +105,9 @@ def _fit(xs, ys, clipped) -> RateFit:
 
 def _check_grid(grid, decades: float, label: str) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
-    if g.size < 4 or np.any(g <= 0.0):
-        raise DegenerateGridError(f"{label} grid needs at least 4 positive points")
+    if g.size < 4 or not np.all((g > 0.0) & (g < np.inf)):
+        raise DegenerateGridError(
+            f"{label} grid needs at least 4 positive finite points")
     g = np.sort(g)
     if g[-1] / g[0] < 10.0 ** decades * (1.0 - 1e-9):
         raise DegenerateGridError(f"{label} grid must span at least "
@@ -144,16 +143,21 @@ def noise_free_rate(op: SpectralOperator, y, alpha_grid) -> RateFit:
     return _fit(alphas, errors, clipped)
 
 
-def _noisy_errors(op, y, delta, alpha, noise: NoiseModel, trials: int):
+def _worst_case_gain(delta, resp, bias):
+    """Growth of the squared error when the data move by ``+-delta`` along
+    each basis direction, the sign chosen to align with the bias."""
+    return (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
+
+
+def _noisy_errors(op, u_dag: CoeffVector, delta, alpha, noise: NoiseModel,
+                  trials: int):
     """Worst error over the noise family at one (delta, alpha); returns
     (error, witness index)."""
     lam = op.sigma ** 2
-    u_dag = min_norm_solution(op, y)
     bias = -alpha / (alpha + lam) * u_dag.coeffs
     resp = op.sigma / (alpha + lam)
     if noise.kind == WORST_CASE_BASIS:
-        # closed form over +-delta on each coordinate
-        gain = (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
+        gain = _worst_case_gain(delta, resp, bias)
         k = int(np.argmax(gain))
         return float(np.sqrt(bias @ bias + gain[k])), k
     dirs = noise.directions(op, trials)
@@ -161,6 +165,28 @@ def _noisy_errors(op, y, delta, alpha, noise: NoiseModel, trials: int):
     errs = np.linalg.norm(shifted, axis=1)
     k = int(np.argmax(errs))
     return float(errs[k]), k
+
+
+def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
+                     noise: NoiseModel, trials: int | None = None) -> list:
+    """Per-delta rows (delta, error, alpha_used, witness index) of the
+    worst-case error under the parameter choice ``alpha = delta**(2 - mu)``,
+    in increasing delta."""
+    mu = float(mu)
+    if not 0.0 < mu <= 1.0:
+        raise ValueError("mu must lie in (0, 1]")
+    deltas = _check_grid(delta_grid, 3.0, "delta")
+    if trials is None:
+        trials = noise.default_trials()
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    u_dag = min_norm_solution(op, y)
+    rows = []
+    for delta in deltas:
+        alpha = delta ** (2.0 - mu)
+        err, k = _noisy_errors(op, u_dag, delta, alpha, noise, trials)
+        rows.append((float(delta), err, float(alpha), k))
+    return rows
 
 
 def noisy_rate(op: SpectralOperator, y, delta_grid, mu: float,
@@ -171,33 +197,8 @@ def noisy_rate(op: SpectralOperator, y, delta_grid, mu: float,
     For each noise level the error is maximized over the noise family; the
     returned fit estimates ``mu / 2``.
     """
-    mu = float(mu)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
-    deltas = _check_grid(delta_grid, 3.0, "delta")
-    if trials is None:
-        trials = noise.default_trials()
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    errors = np.empty_like(deltas)
-    for i, delta in enumerate(deltas):
-        errors[i], _ = _noisy_errors(op, y, delta, delta ** (2.0 - mu),
-                                     noise, trials)
-    return _fit(deltas, errors, clipped=False)
-
-
-def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
-                     noise: NoiseModel, trials: int | None = None) -> list:
-    """Per-delta rows (delta, error, alpha_used, witness index) for export."""
-    deltas = _check_grid(delta_grid, 3.0, "delta")
-    if trials is None:
-        trials = noise.default_trials()
-    rows = []
-    for delta in deltas:
-        alpha = delta ** (2.0 - float(mu))
-        err, k = _noisy_errors(op, y, delta, alpha, noise, trials)
-        rows.append((float(delta), err, float(alpha), k))
-    return rows
+    rows = noisy_sweep_rows(op, y, delta_grid, mu, noise, trials)
+    return _fit([r[0] for r in rows], [r[1] for r in rows], clipped=False)
 
 
 def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
@@ -208,9 +209,12 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
     error of any single parameter choice on the same grid.
     """
     delta = float(delta)
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be non-negative and finite")
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
-    if alphas.size == 0 or np.any(alphas <= 0.0):
-        raise DegenerateGridError("alpha grid must be positive and non-empty")
+    if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < np.inf)):
+        raise DegenerateGridError(
+            "alpha grid must be positive, finite and non-empty")
     lam = op.sigma ** 2
     u_dag = min_norm_solution(op, y)
     bias = -alphas[:, None] / (alphas[:, None] + lam[None, :]) * u_dag.coeffs
@@ -220,7 +224,7 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
     if trials is None:
         trials = noise.default_trials()
     if noise.kind == WORST_CASE_BASIS:
-        gain = (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
+        gain = _worst_case_gain(delta, resp, bias)
         errs = np.sqrt(np.sum(bias ** 2, axis=1)[:, None] + gain)  # (alpha, k)
         return float(errs.min(axis=0).max())
     dirs = noise.directions(op, trials)  # (trial, n)

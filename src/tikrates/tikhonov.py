@@ -133,26 +133,21 @@ def solve_normal_equations(op: SpectralOperator, ytilde,
     """Regularized solution via a direct factorization of the shifted normal
     equations in ambient matrix coordinates.
 
-    Independent of the filter path; intended for cross-checks and for
-    off-range perturbation experiments on dense operators.
+    Dense operators only; independent of the filter path and intended for
+    cross-checks and for off-range perturbation experiments.
     """
+    op._require_dense()
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    if op.kind == "dense":
-        arr = np.asarray(ytilde, dtype=float).reshape(-1) \
-            if not isinstance(ytilde, CoeffVector) else op.ambient_from_data(ytilde)
-        if arr.shape[0] != op.matrix.shape[0]:
-            raise ValueError("expected ambient data for the dense path")
-        a = op.matrix
-        gram = a.T @ a + alpha * np.eye(a.shape[1])
-        x = np.linalg.solve(gram, a.T @ arr)
-        return op.domain_from_ambient(x)
-    y, _ = _as_data_coeffs(op, ytilde)
-    mat = np.diag(op.sigma)
-    gram = mat.T @ mat + alpha * np.eye(op.n)
-    x = np.linalg.solve(gram, mat.T @ y)
-    return CoeffVector(x, op.domain)
+    arr = np.asarray(ytilde, dtype=float).reshape(-1) \
+        if not isinstance(ytilde, CoeffVector) else op.ambient_from_data(ytilde)
+    if arr.shape[0] != op.matrix.shape[0]:
+        raise ValueError("expected ambient data for the dense path")
+    a = op.matrix
+    gram = a.T @ a + alpha * np.eye(a.shape[1])
+    x = np.linalg.solve(gram, a.T @ arr)
+    return op.domain_from_ambient(x)
 
 
 def error_bound(mu: float, beta: float, gamma: float, delta: float,
@@ -171,14 +166,14 @@ def error_bound(mu: float, beta: float, gamma: float, delta: float,
     alpha = float(alpha)
     if not 0.0 < mu <= 1.0:
         raise ValueError("mu must lie in (0, 1]")
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    if not 0.0 <= beta < np.inf:
+        raise ValueError("beta must be non-negative and finite")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
-    if delta < 0.0:
-        raise ValueError("delta must be non-negative")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be non-negative and finite")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     ycoef, _ = _as_data_coeffs(op, y)
     ydcoef, _ = _as_data_coeffs(op, ydelta)
     actual = float(np.linalg.norm(ydcoef - ycoef))

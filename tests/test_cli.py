@@ -122,9 +122,23 @@ def test_operator_file_matrix(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "Certified"
 
 
+def test_operator_file_off_range_data_exits_two(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    mat = rng.standard_normal((5, 3))
+    off_range = np.linalg.svd(mat)[0][:, -1]
+    y = mat @ rng.standard_normal(3) + 0.1 * off_range
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"matrix": mat.tolist(), "y": y.tolist()}))
+    code = main(["check", "--instance", str(path), "--condition", "ssc",
+                 "--nu", "1.0", "--no-timestamp"])
+    assert code == 2
+    assert "not in range" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["check", "--condition", "hvi", "--nu", "0.5"]) == 2
     assert main(["check", "--instance", "counter26", "--condition", "hvi"]) == 2
+    assert main(["check", "--instance", "counter26", "--condition", "ivi"]) == 2
     assert main(["check", "--instance", "counter26", "--condition", "hvi",
                  "--nu", "0.5", "--n", "4"]) == 2
     assert main(["check", "--instance", str(tmp_path / "missing.json"),

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tikrates as tk
 from tikrates import conditions as cond
@@ -212,6 +214,16 @@ def test_ivi_parameter_validation():
         tk.check_ivi(inst.op, inst.u_dagger, 0.5, -1.0, 0.0)
     with pytest.raises(ValueError):
         tk.check_ivi(inst.op, inst.u_dagger, 0.5, 1.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["counter26", "identity", "harmonic4"]),
+       mu=st.floats(0.05, 1.0), gamma=st.floats(0.0, 0.99),
+       beta=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_ivi_non_finite_beta_never_certifies(name, mu, gamma, beta):
+    inst = tk.build(name, 20)
+    with pytest.raises(ValueError, match="beta"):
+        tk.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma)
 
 
 # Spectral tail ---------------------------------------------------------------

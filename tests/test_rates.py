@@ -42,6 +42,18 @@ def test_noise_free_requires_four_decades():
         noise_free_rate(inst.op, inst.y, np.logspace(-4, -2, 10))
 
 
+def test_grids_reject_non_finite_points():
+    inst = tk.build("counter26", 60)
+    alphas = np.logspace(-10, -4, 25)
+    alphas[12] = np.nan
+    with pytest.raises(DegenerateGridError, match="finite"):
+        noise_free_rate(inst.op, inst.y, alphas)
+    deltas = np.logspace(-8, -2, 25)
+    deltas[-1] = np.inf
+    with pytest.raises(DegenerateGridError, match="finite"):
+        noisy_rate(inst.op, inst.y, deltas, 2.0 / 3.0, NoiseModel())
+
+
 def test_noise_free_clips_below_truncation_floor():
     inst = tk.build("harmonic4", 60)  # smallest squared sigma is 1/60
     fit = noise_free_rate(inst.op, inst.y, np.logspace(-6, 1, 30))
@@ -82,6 +94,21 @@ def test_noisy_random_sphere_below_worst_case():
         assert er <= ew * (1.0 + 1e-12)
 
 
+def test_noisy_sweep_rows_validates_like_noisy_rate():
+    inst = tk.build("counter26", 30)
+    deltas = np.logspace(-6, -2, 10)
+    with pytest.raises(ValueError, match="mu"):
+        noisy_sweep_rows(inst.op, inst.y, deltas, 5.0, NoiseModel())
+    with pytest.raises(ValueError, match="trials"):
+        noisy_sweep_rows(inst.op, inst.y, deltas, 0.5,
+                         NoiseModel(kind=tk.RANDOM_SPHERE), 0)
+
+
+def test_noise_model_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="bogus"):
+        NoiseModel(kind="bogus")
+
+
 def test_noise_directions_have_exact_unit_norm():
     inst = tk.build("counter26", 40)
     for kind in (tk.WORST_CASE_BASIS, tk.RANDOM_SPHERE, tk.IN_RANGE):
@@ -100,9 +127,17 @@ def test_infimum_rate_never_exceeds_power_rule_choice():
                            np.log10(alpha_star) + 3, 25)
         grid = np.append(grid, alpha_star)
         inf_val = infimum_rate(inst.op, inst.y, delta, noise, grid)
-        row_err, _ = tk.rates._noisy_errors(inst.op, inst.y, delta,
+        row_err, _ = tk.rates._noisy_errors(inst.op, inst.u_dagger, delta,
                                             alpha_star, noise, 1)
         assert inf_val <= row_err * (1.0 + 1e-12)
+
+
+def test_infimum_rate_rejects_negative_or_nan_delta():
+    inst = tk.build("counter26", 60)
+    for delta in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="delta"):
+            infimum_rate(inst.op, inst.y, delta, NoiseModel(),
+                         np.logspace(-9, -2, 40))
 
 
 def test_infimum_rate_consistent_with_fit_constant():

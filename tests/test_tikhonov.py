@@ -153,6 +153,12 @@ def test_filter_path_matches_normal_equations_dense():
                                    rtol=1e-10, atol=1e-12)
 
 
+def test_normal_equations_require_dense_operator():
+    inst = counter_instance()
+    with pytest.raises(ValueError, match="dense"):
+        solve_normal_equations(inst.op, inst.y, 1e-3)
+
+
 def test_error_bound_formula_frozen_value():
     # rhs at (mu=2/3, beta=3, gamma=1/4, delta=1e-3, alpha=1e-4):
     # (2 / 0.75) * 1e-2 + 3**1.5 * (4/3) / 1.5 * 1e-2
@@ -194,6 +200,8 @@ def test_error_bound_validates_parameters():
         error_bound(0.5, 1.0, 1.0, 0.0, 1.0, *args)
     with pytest.raises(ValueError):
         error_bound(0.5, 1.0, 0.1, 0.0, 0.0, *args)
+    with pytest.raises(ValueError, match="alpha"):
+        error_bound(0.5, 1.0, 0.1, 0.0, np.nan, *args)
 
 
 def test_error_bound_rejects_oversized_perturbation():

@@ -1,0 +1,70 @@
+"""Write the golden ``--no-timestamp`` artifacts of the command line.
+
+Usage: ``python3 tools/golden.py OUTDIR``
+
+Writes 55 files into OUTDIR: ``conformance --all``; ``check`` on every
+documented (instance, condition, parameter) at n = 60; and, on every named
+instance, ``rates --mode noisy --mu 1.0`` as JSON and as CSV plus
+``rates --mode infimum``.  The package is imported from the ``src`` directory
+next to this script, so running the script from two checkouts and comparing
+the output directories with ``diff -r`` shows whether a change moved any
+output byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from tikrates.cli import main as cli_main  # noqa: E402
+from tikrates.conditions import IVI  # noqa: E402
+from tikrates.instances import INSTANCE_NAMES, build  # noqa: E402
+
+N = 60
+
+
+def invocations(outdir: Path) -> list:
+    runs = [["conformance", "--all", "--n", str(N),
+             "--output", str(outdir / "conformance_all.json")]]
+    for name in INSTANCE_NAMES:
+        for condition, param in sorted(build(name, n=N).expected):
+            flag = "--mu" if condition == IVI else "--nu"
+            out = outdir / f"check_{name}_{condition}_{param!r}.json"
+            runs.append(["check", "--instance", name, "--n", str(N),
+                         "--condition", condition, flag, repr(param),
+                         "--output", str(out)])
+    for name in INSTANCE_NAMES:
+        rates = ["rates", "--instance", name, "--n", str(N)]
+        noisy = rates + ["--mode", "noisy", "--mu", "1.0"]
+        runs.append(noisy + ["--output", str(outdir / f"rates_{name}_noisy.json")])
+        runs.append(noisy + ["--format", "csv",
+                             "--output", str(outdir / f"rates_{name}_noisy.csv")])
+        runs.append(rates + ["--mode", "infimum",
+                             "--output", str(outdir / f"rates_{name}_infimum.json")])
+    return runs
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: golden.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    failed = 0
+    for argv_cli in invocations(outdir):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([*argv_cli, "--no-timestamp"])
+        if code != 0:
+            failed += 1
+            print(f"exit {code}: tikrates {' '.join(argv_cli)}", file=sys.stderr)
+    written = sum(1 for p in outdir.iterdir() if p.is_file())
+    print(f"{written} files in {outdir}, {failed} failed invocations")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
