@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._domain import in_interval
 from ._fitting import ls_line
 from .operators import (CoeffVector, SpectralOperator, _require_same_frame,
                         _spectral_atoms)
@@ -109,9 +110,7 @@ class ConditionReport:
 def ssc_to_hvi_certificate(omega_norm: float) -> float:
     """Doubled-form homogeneous constant implied by a range certificate with
     source element norm ``omega_norm``: ``beta = 2 * omega_norm``."""
-    if omega_norm < 0.0:
-        raise ValueError("omega_norm must be non-negative")
-    return 2.0 * float(omega_norm)
+    return 2.0 * in_interval("omega_norm", omega_norm, "[0, inf)")
 
 
 def hvi_to_ivi_certificate(beta: float, nu: float) -> tuple[float, float, float]:
@@ -121,12 +120,8 @@ def hvi_to_ivi_certificate(beta: float, nu: float) -> tuple[float, float, float]
     ``beta' = (1 + nu) / 2 * beta**(2 / (1 + nu))`` and
     ``gamma = (1 - nu) / 2``; the split is sharp in the scalar sense.
     """
-    beta = float(beta)
-    nu = float(nu)
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
+    beta = in_interval("beta", beta, "[0, inf)")
+    nu = in_interval("nu", nu, "(0, 1]")
     mu = 2.0 * nu / (1.0 + nu)
     beta_prime = (1.0 + nu) / 2.0 * beta ** (2.0 / (1.0 + nu))
     gamma = (1.0 - nu) / 2.0
@@ -140,11 +135,9 @@ def scr_to_vi_certificate(C: float, nu: float, rho: float) -> float:
     ``rho = 1`` certifies the homogeneous inequality, ``rho = 2`` the
     symmetrized one; ``rho`` must exceed ``nu``.
     """
-    C = float(C)
-    nu = float(nu)
-    rho = float(rho)
-    if C < 0.0:
-        raise ValueError("C must be non-negative")
+    C = in_interval("C", C, "[0, inf)")
+    nu = in_interval("nu", nu, "(-inf, inf)")
+    rho = in_interval("rho", rho, "(-inf, inf)")
     if rho <= nu:
         raise ValueError("rho must exceed nu")
     return 4.0 * C / (1.0 - nu / rho) ** (nu / (2.0 * rho))
@@ -191,6 +184,9 @@ def _cum_family(label, weights, d, wpow, m_index) -> _Family:
     return _Family(label, m_index, ip, nrm, pnm, ordered=True)
 
 
+# Inverse weights of deep spectra overflow; the probe scans zero every
+# non-finite ratio, so the floating-point warnings carry no information.
+@np.errstate(over="ignore", invalid="ignore")
 def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
                    *, seed: int = 0,
                    n_random: int = DEFAULT_RANDOM_PROBES) -> list[_Family]:
@@ -213,8 +209,7 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
         _cum_family("head", d, d, wpow, m_index),
         _cum_family("head_flat", np.sign(d), d, wpow, m_index),
     ]
-    with np.errstate(over="ignore"):
-        w_inv = d / np.where(sig > 0, sig ** rho, 1.0)
+    w_inv = d / np.where(sig > 0, sig ** rho, 1.0)
     if np.all(np.isfinite(w_inv)):
         fams.append(_cum_family("head_inv_weight", w_inv, d, wpow, m_index))
         for width in (4, 8, 16):
@@ -303,9 +298,7 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     and power-law tails with exponent at or above -1 refute, borderline
     tails stay inconclusive.
     """
-    nu = float(nu)
-    if not 0.0 < nu <= 2.0:
-        raise ValueError("nu must lie in (0, 2]")
+    nu = in_interval("nu", nu, "(0, 2]")
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
     n = op.n
@@ -394,9 +387,7 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
     exponent of ``T`` over the smallest spectral decades to reach ``nu``
     within tolerance, so that the constant is stable under deeper truncation.
     """
-    nu = float(nu)
-    if not 0.0 < nu < 2.0:
-        raise ValueError("nu must lie in (0, 2)")
+    nu = in_interval("nu", nu, "(0, 2)")
     _require_same_frame(u_dagger.frame, op.domain)
     lam_u, mass = _spectral_atoms(op, u_dagger.coeffs ** 2)
     t_cum = np.cumsum(mass)
@@ -569,9 +560,7 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
     the smaller of the half-mass split bound and the spectral-tail route;
     ``beta_lower`` is the largest ratio observed on the probe families.
     """
-    nu = float(nu)
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
+    nu = in_interval("nu", nu, "(0, 1]")
     return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI, seed, n_random)
 
 
@@ -581,9 +570,7 @@ def check_svi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
     """Check the symmetrized variational inequality at parameter ``nu``;
     same conventions as :func:`check_hvi` with the normal operator in place
     of the forward map."""
-    nu = float(nu)
-    if not 0.0 < nu <= 2.0:
-        raise ValueError("nu must lie in (0, 2]")
+    nu = in_interval("nu", nu, "(0, 2]")
     return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI, seed, n_random)
 
 
@@ -623,15 +610,9 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     some probe needs a larger beta than supplied, or when the needed beta
     diverges along an ordered family, defeating every constant.
     """
-    mu = float(mu)
-    beta = float(beta)
-    gamma = float(gamma)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
-    if not 0.0 <= beta < np.inf:
-        raise ValueError("beta must be non-negative and finite")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
+    mu = in_interval("mu", mu, "(0, 1]")
+    beta = in_interval("beta", beta, "[0, inf)")
+    gamma = in_interval("gamma", gamma, "[0, 1)")
     _require_same_frame(u_dagger.frame, op.domain)
     n = op.n
     if not np.any(u_dagger.coeffs):

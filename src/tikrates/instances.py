@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditions as cond
+from ._domain import in_interval
 from .operators import CoeffVector, SpectralOperator
 
 INSTANCE_NAMES = ("counter26", "harmonic4", "remark_nu_gap", "identity",
@@ -131,6 +132,7 @@ def derive_ivi_constants(inst: NamedInstance, mu: float, *,
                          seed: int = 0) -> tuple[float, float]:
     """Constants for an inhomogeneous check, derived through the certificate
     chain when available and falling back to fixed generic values."""
+    mu = in_interval("mu", mu, "(0, 1]")
     nu = mu / (2.0 - mu)
     rep = cond.check_hvi(inst.op, inst.u_dagger, nu, seed=seed)
     if rep.verdict == cond.CERTIFIED:

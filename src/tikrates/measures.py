@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import in_interval
+
 #: Relative slack used when verifying non-strict inequalities in floats.
 REL_TOL = 1e-12
 
@@ -82,6 +84,7 @@ class DiscreteMeasure:
 
         A negative power with an atom at zero inside the window is rejected.
         """
+        power = in_interval("power", power, "(-inf, inf)")
         mask = (self.lambdas >= a) & (self.lambdas <= b)
         lam, m = self.lambdas[mask], self.masses[mask]
         if power < 0.0 and lam.size and lam[0] == 0.0:
@@ -124,6 +127,7 @@ def cs_measure_bound(mu_dd: DiscreteMeasure, mu_uu: DiscreteMeasure,
     weighted mass of ``mu_uu`` on the same window.  The bound ``lhs <= rhs``
     holds whenever the measures come from one (operator, v, w) triple.
     """
+    rho = in_interval("rho", rho, "(-inf, inf)")
     if not 0.0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
     lhs = mu_du.abs().restricted(a, b).total_variation()
@@ -150,14 +154,12 @@ def tail_integral_bound(mu: DiscreteMeasure, nu: float, rho: float, C: float,
     half-open cumulative jumps past that value immediately above the atom.
     A ``Lambda`` beyond the support is allowed and yields ``(0.0, rhs)``.
     """
-    if nu < 0.0:
-        raise ValueError("nu must be non-negative")
+    nu = in_interval("nu", nu, "[0, inf)")
+    rho = in_interval("rho", rho, "(-inf, inf)")
     if rho <= nu:
         raise ValueError("rho must exceed nu")
-    if C <= 0.0:
-        raise ValueError("C must be positive")
-    if Lambda <= 0.0:
-        raise ValueError("Lambda must be positive")
+    C = in_interval("C", C, "(0, inf)")
+    Lambda = in_interval("Lambda", Lambda, "(0, inf)")
     if np.any(mu.masses < 0.0):
         raise ValueError("measure must be non-negative")
     cum = np.cumsum(mu.masses)

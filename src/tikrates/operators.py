@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import in_interval
 from .measures import DiscreteMeasure
 
 logger = logging.getLogger(__name__)
@@ -132,8 +133,12 @@ class SpectralOperator:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 1 or sigma.size == 0:
             raise ValueError("need at least one singular value")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
-            raise ValueError("retained singular values must be positive and finite")
+        # squaring is monotone on positive floats, so the extremes decide
+        # whether every retained square is positive and finite
+        lo, hi = float(sigma.min()), float(sigma.max())
+        if not (lo > 0.0 and lo * lo > 0.0 and hi * hi < np.inf):
+            raise ValueError("retained singular values must be positive, with "
+                             "positive finite squares")
         sigma = sigma.copy()
         sigma.setflags(write=False)
         object.__setattr__(self, "kind", kind)
@@ -337,7 +342,7 @@ def power_apply(op: SpectralOperator, r: float, u: CoeffVector) -> CoeffVector:
     rejected for operators that had directions removed.
     """
     _require_same_frame(u.frame, op.domain)
-    r = float(r)
+    r = in_interval("r", r, "(-inf, inf)")
     if r < 0.0 and op.dropped > 0:
         raise ValueError("negative power of an operator with dropped null "
                          "directions is unbounded")
@@ -355,9 +360,7 @@ def spectral_projection_norm(op: SpectralOperator, u: CoeffVector,
     ``lam`` reaches the largest squared singular value.
     """
     _require_same_frame(u.frame, op.domain)
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    lam = in_interval("lam", lam, "[0, inf)")
     mask = op.lambdas <= lam
     return float(np.sqrt(np.sum(u.coeffs[mask] ** 2)))
 

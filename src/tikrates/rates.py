@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import in_interval
 from ._fitting import best_loglog_window
 from .operators import CoeffVector, SpectralOperator
 from .tikhonov import min_norm_solution, solve, solve_normal_equations
@@ -172,9 +173,7 @@ def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
     """Per-delta rows (delta, error, alpha_used, witness index) of the
     worst-case error under the parameter choice ``alpha = delta**(2 - mu)``,
     in increasing delta."""
-    mu = float(mu)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
+    mu = in_interval("mu", mu, "(0, 1]")
     deltas = _check_grid(delta_grid, 3.0, "delta")
     if trials is None:
         trials = noise.default_trials()
@@ -208,9 +207,7 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
     Refining the alpha grid can only lower the value; it never exceeds the
     error of any single parameter choice on the same grid.
     """
-    delta = float(delta)
-    if not 0.0 <= delta < np.inf:
-        raise ValueError("delta must be non-negative and finite")
+    delta = in_interval("delta", delta, "[0, inf)")
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < np.inf)):
         raise DegenerateGridError(
@@ -260,6 +257,7 @@ def q_projection_equivalence(op: SpectralOperator, y, e_offrange,
     together with the observed solution difference.
     """
     op._require_dense()
+    tol = in_interval("tol", tol, "(-inf, inf)")
     y = np.asarray(y, dtype=float).reshape(-1)
     e = np.asarray(e_offrange, dtype=float).reshape(-1)
     if y.shape[0] != op.matrix.shape[0] or e.shape[0] != y.shape[0]:

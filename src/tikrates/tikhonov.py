@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._domain import in_interval
 from .operators import CoeffVector, SpectralOperator, _require_same_frame
 
 logger = logging.getLogger(__name__)
@@ -116,9 +117,7 @@ def solve(op: SpectralOperator, ytilde, alpha: float) -> TikhonovSolve:
     The n-th coefficient of the solution is
     ``sigma_n * y_n / (alpha + sigma_n**2)``.
     """
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = in_interval("alpha", alpha, "(0, inf)")
     y, _ = _as_data_coeffs(op, ytilde)
     coeffs = op.sigma * y / (alpha + op.sigma ** 2)
     residual = float(np.linalg.norm(op.sigma * coeffs - y))
@@ -137,9 +136,7 @@ def solve_normal_equations(op: SpectralOperator, ytilde,
     cross-checks and for off-range perturbation experiments.
     """
     op._require_dense()
-    alpha = float(alpha)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    alpha = in_interval("alpha", alpha, "(0, inf)")
     arr = np.asarray(ytilde, dtype=float).reshape(-1) \
         if not isinstance(ytilde, CoeffVector) else op.ambient_from_data(ytilde)
     if arr.shape[0] != op.matrix.shape[0]:
@@ -159,21 +156,11 @@ def error_bound(mu: float, beta: float, gamma: float, delta: float,
     certificate in the doubled-pairing convention.  The report compares the
     actual squared error against the bound and flags whether it holds.
     """
-    mu = float(mu)
-    beta = float(beta)
-    gamma = float(gamma)
-    delta = float(delta)
-    alpha = float(alpha)
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
-    if not 0.0 <= beta < np.inf:
-        raise ValueError("beta must be non-negative and finite")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    if not 0.0 <= delta < np.inf:
-        raise ValueError("delta must be non-negative and finite")
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
+    mu = in_interval("mu", mu, "(0, 1]")
+    beta = in_interval("beta", beta, "[0, inf)")
+    gamma = in_interval("gamma", gamma, "[0, 1)")
+    delta = in_interval("delta", delta, "[0, inf)")
+    alpha = in_interval("alpha", alpha, "(0, inf)")
     ycoef, _ = _as_data_coeffs(op, y)
     ydcoef, _ = _as_data_coeffs(op, ydelta)
     actual = float(np.linalg.norm(ydcoef - ycoef))

@@ -154,3 +154,20 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
                  "--nu", "0.5", "--output", "sub/report.json",
                  "--no-timestamp"]) == 0
     assert (tmp_path / "sub" / "report.json").exists()
+
+
+def test_underflowing_spectrum_exits_two_without_lapack_chatter(capfd):
+    assert main(["check", "--instance", "remark_nu_gap", "--n", "1000",
+                 "--condition", "tail", "--nu", "0.5"]) == 2
+    err = capfd.readouterr().err
+    assert "positive finite squares" in err
+    assert "DLASCL" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+@pytest.mark.parametrize("condition, flag", [("hvi", "--nu"), ("ivi", "--mu")])
+def test_non_finite_or_out_of_domain_parameter_exits_two(condition, flag, value,
+                                                         capsys):
+    assert main(["check", "--instance", "counter26", "--condition", condition,
+                 f"{flag}={value}"]) == 2
+    assert f"{flag[2:]} must lie in (0, 1]" in capsys.readouterr().err

@@ -78,3 +78,9 @@ def test_battery_flags_a_wrong_expectation():
         expected={("hvi", 0.5): tk.REFUTED_AT_N}, n=inst.n)
     rows = tk.run_battery(doctored)
     assert len(rows) == 1 and not rows[0]["match"]
+
+
+@pytest.mark.parametrize("name, n", [("counter26", 1100), ("random_diag", 10000)])
+def test_spectra_whose_squares_underflow_are_refused(name, n):
+    with pytest.raises(ValueError, match="positive finite squares"):
+        tk.build(name, n)

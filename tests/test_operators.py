@@ -16,6 +16,15 @@ def geometric_op(n=60):
     return op, 2.0 ** (-idx / 2.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, 1e-170, 1e170])
+def test_retained_singular_values_need_positive_finite_squares(bad):
+    with pytest.raises(ValueError, match="positive finite squares"):
+        tk.SpectralOperator(kind="diagonal", sigma=[1.0, bad], truncated=True,
+                            basis_note="", dropped=0)
+    assert tk.SpectralOperator(kind="diagonal", sigma=[1.0, 1e-150],
+                               truncated=True, basis_note="", dropped=0).n == 2
+
+
 def test_apply_scales_first_basis_vector():
     op, _ = geometric_op()
     out = apply(op, op.basis_vector(0))
