@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Fewest grid points a fit window may hold.
+MIN_WINDOW_POINTS = 4
+
 
 def ls_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line through (x, y); returns (slope, intercept, max |resid|)."""
@@ -18,20 +21,19 @@ def ls_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(sol[0]), float(sol[1]), float(np.abs(resid).max())
 
 
-def best_loglog_window(x: np.ndarray, y: np.ndarray, max_resid: float,
-                       min_points: int = 4):
+def best_loglog_window(x: np.ndarray, y: np.ndarray, max_resid: float):
     """Largest contiguous window of (x, y) whose log10-log10 line fit keeps
     every |residual| within ``max_resid``; ties resolved by smaller residual.
 
     Returns ``(slope, intercept, resid, i, j)`` with the window ``x[i:j]``,
-    or the full-range fit when even no window of ``min_points`` qualifies
-    (callers can see that from the returned residual).
+    or the full-range fit when even no window of ``MIN_WINDOW_POINTS``
+    qualifies (callers can see that from the returned residual).
     """
     lx, ly = np.log10(x), np.log10(y)
     n = lx.size
     best = None
-    for i in range(n - min_points + 1):
-        for j in range(n, i + min_points - 1, -1):
+    for i in range(n - MIN_WINDOW_POINTS + 1):
+        for j in range(n, i + MIN_WINDOW_POINTS - 1, -1):
             slope, icpt, resid = ls_line(lx[i:j], ly[i:j])
             if resid <= max_resid:
                 cand = (j - i, -resid, slope, icpt, resid, i, j)

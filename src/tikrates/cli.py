@@ -86,8 +86,7 @@ def _load_instance(args) -> NamedInstance:
     else:
         yvec = op.data_vector(y)
     return NamedInstance(name=path.stem, op=op, y=yvec,
-                         u_dagger=min_norm_solution(op, y), expected={},
-                         n=op.n)
+                         u_dagger=min_norm_solution(op, y), expected={})
 
 
 def _cmd_check(args) -> int:

@@ -69,7 +69,10 @@ TAIL_SLOPE_TOL = 0.05
 REL_SLACK = 1e-9
 _MIN_FIT_POINTS = 5
 
-DEFAULT_RANDOM_PROBES = 1000
+#: Seeded random probe vectors per probe-family scan.
+RANDOM_PROBES = 1000
+#: Most (index, value) pairs kept in a report's diagnostics series.
+DIAGNOSTIC_POINTS = 160
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def scr_to_vi_certificate(C: float, nu: float, rho: float) -> float:
     symmetrized one; ``rho`` must exceed ``nu``.
     """
     C = in_interval("C", C, "[0, inf)")
-    nu = in_interval("nu", nu, "(-inf, inf)")
+    nu = in_interval("nu", nu, "(0, inf)")
     rho = in_interval("rho", rho, "(-inf, inf)")
     if rho <= nu:
         raise ValueError("rho must exceed nu")
@@ -188,9 +191,9 @@ def _cum_family(label, weights, d, wpow, m_index) -> _Family:
 # non-finite ratio, so the floating-point warnings carry no information.
 @np.errstate(over="ignore", invalid="ignore")
 def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
-                   *, seed: int = 0,
-                   n_random: int = DEFAULT_RANDOM_PROBES) -> list[_Family]:
-    """Deterministic structured probes plus seeded random vectors.
+                   *, seed: int = 0) -> list[_Family]:
+    """Deterministic structured probes plus ``RANDOM_PROBES`` seeded random
+    vectors.
 
     The structured families are the ones on which refutations are achieved:
     single basis directions, truncated copies of the solution (plain and
@@ -228,21 +231,20 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     pnm = np.sqrt(np.cumsum((wpow * d * d)[::-1])[::-1])
     fams.append(_Family("tail", m_index, ip, nrm, pnm, ordered=True))
 
-    if n_random > 0:
-        rng = np.random.default_rng(seed)
-        ips, nrms, pnms = [], [], []
-        sign = np.sign(d)
-        for start in range(0, n_random, 256):
-            block = min(256, n_random - start)
-            x = rng.standard_normal((block, n))
-            half = block // 2
-            x[half:] = np.abs(x[half:]) * sign  # sign-aligned half probes
-            ips.append(x @ d)
-            nrms.append(np.linalg.norm(x, axis=1))
-            pnms.append(np.sqrt((x ** 2) @ wpow))
-        fams.append(_Family("random", np.arange(n_random),
-                            np.concatenate(ips), np.concatenate(nrms),
-                            np.concatenate(pnms), ordered=False))
+    rng = np.random.default_rng(seed)
+    ips, nrms, pnms = [], [], []
+    sign = np.sign(d)
+    for start in range(0, RANDOM_PROBES, 256):
+        block = min(256, RANDOM_PROBES - start)
+        x = rng.standard_normal((block, n))
+        half = block // 2
+        x[half:] = np.abs(x[half:]) * sign  # sign-aligned half probes
+        ips.append(x @ d)
+        nrms.append(np.linalg.norm(x, axis=1))
+        pnms.append(np.sqrt((x ** 2) @ wpow))
+    fams.append(_Family("random", np.arange(RANDOM_PROBES),
+                        np.concatenate(ips), np.concatenate(nrms),
+                        np.concatenate(pnms), ordered=False))
     return fams
 
 
@@ -274,12 +276,12 @@ def _divergent(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
     return slope >= GROWTH_SLOPE, slope
 
 
-def _decimate(xs, ys, cap: int = 160) -> list:
+def _decimate(xs, ys) -> list:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size <= cap:
+    if xs.size <= DIAGNOSTIC_POINTS:
         return list(zip(xs.tolist(), ys.tolist()))
-    pick = np.unique(np.geomspace(1, xs.size, cap).astype(int) - 1)
+    pick = np.unique(np.geomspace(1, xs.size, DIAGNOSTIC_POINTS).astype(int) - 1)
     return list(zip(xs[pick].tolist(), ys[pick].tolist()))
 
 
@@ -468,7 +470,7 @@ def _split_upper_bound(op, d, nu, rho):
     return h[::-1]
 
 
-def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed, n_random):
+def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed):
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
     n = op.n
@@ -477,7 +479,7 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed, n_random):
                                {"beta": 0.0, "beta_lower": 0.0}, [], n)
 
     expo = nu / rho
-    fams = probe_families(op, u_dagger, rho, seed=seed, n_random=n_random)
+    fams = probe_families(op, u_dagger, rho, seed=seed)
     beta_lower = 0.0
     lower_witness = None
     for fam in fams:
@@ -552,8 +554,7 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed, n_random):
 
 
 def check_hvi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
-              seed: int = 0,
-              n_random: int = DEFAULT_RANDOM_PROBES) -> ConditionReport:
+              seed: int = 0) -> ConditionReport:
     """Check the homogeneous variational inequality at parameter ``nu``.
 
     The reported ``beta`` is the pairing-form constant, certified through
@@ -561,17 +562,16 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
     ``beta_lower`` is the largest ratio observed on the probe families.
     """
     nu = in_interval("nu", nu, "(0, 1]")
-    return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI, seed, n_random)
+    return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI, seed)
 
 
 def check_svi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
-              seed: int = 0,
-              n_random: int = DEFAULT_RANDOM_PROBES) -> ConditionReport:
+              seed: int = 0) -> ConditionReport:
     """Check the symmetrized variational inequality at parameter ``nu``;
     same conventions as :func:`check_hvi` with the normal operator in place
     of the forward map."""
     nu = in_interval("nu", nu, "(0, 2]")
-    return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI, seed, n_random)
+    return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI, seed)
 
 
 # Inhomogeneous variational inequality ---------------------------------------
@@ -600,8 +600,7 @@ def _needed_beta(ip, nrm, pnm, mu, gamma):
 
 
 def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
-              beta: float, gamma: float, *, seed: int = 0,
-              n_random: int = DEFAULT_RANDOM_PROBES) -> ConditionReport:
+              beta: float, gamma: float, *, seed: int = 0) -> ConditionReport:
     """Verify supplied inhomogeneous-inequality constants ``(beta, gamma)``
     in the doubled convention at parameter ``mu``.
 
@@ -619,7 +618,7 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
         return ConditionReport(IVI, mu, CERTIFIED,
                                {"beta": beta, "gamma": gamma}, [], n)
 
-    fams = probe_families(op, u_dagger, 1.0, seed=seed, n_random=n_random)
+    fams = probe_families(op, u_dagger, 1.0, seed=seed)
     worst_need = 0.0
     worst_witness = None
     worst_trace = []

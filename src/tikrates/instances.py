@@ -26,7 +26,6 @@ class NamedInstance:
     y: CoeffVector
     u_dagger: CoeffVector
     expected: dict
-    n: int
 
 
 def _orthogonal(rng, n: int) -> np.ndarray:
@@ -125,7 +124,7 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
                          y=op.data_vector(y) if op.kind == "dense"
                          else op.vector(y),
                          u_dagger=op.vector(d),
-                         expected=expected, n=n)
+                         expected=expected)
 
 
 def derive_ivi_constants(inst: NamedInstance, mu: float, *,

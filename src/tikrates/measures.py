@@ -73,18 +73,16 @@ class DiscreteMeasure:
     def abs(self) -> "DiscreteMeasure":
         return DiscreteMeasure(self.lambdas, np.abs(self.masses))
 
-    def restricted(self, a: float, b: float) -> "DiscreteMeasure":
-        """Restriction to the closed interval [a, b]."""
-        mask = (self.lambdas >= a) & (self.lambdas <= b)
-        return DiscreteMeasure(self.lambdas[mask], self.masses[mask])
-
     def weighted_sum(self, power: float, a: float = 0.0,
                      b: float = np.inf) -> float:
         """Sum of ``mass * lambda**power`` over atoms in [a, b].
 
-        A negative power with an atom at zero inside the window is rejected.
+        The window needs ``0 <= a <= b`` (``b = inf`` is unbounded); a
+        negative power with an atom at zero inside the window is rejected.
         """
         power = in_interval("power", power, "(-inf, inf)")
+        if not 0.0 <= a <= b:
+            raise ValueError("need 0 <= a <= b")
         mask = (self.lambdas >= a) & (self.lambdas <= b)
         lam, m = self.lambdas[mask], self.masses[mask]
         if power < 0.0 and lam.size and lam[0] == 0.0:
@@ -128,9 +126,7 @@ def cs_measure_bound(mu_dd: DiscreteMeasure, mu_uu: DiscreteMeasure,
     holds whenever the measures come from one (operator, v, w) triple.
     """
     rho = in_interval("rho", rho, "(-inf, inf)")
-    if not 0.0 <= a <= b:
-        raise ValueError("need 0 <= a <= b")
-    lhs = mu_du.abs().restricted(a, b).total_variation()
+    lhs = mu_du.abs().weighted_sum(0.0, a, b)
     wd = mu_dd.weighted_sum(-rho, a, b)
     wu = mu_uu.weighted_sum(rho, a, b)
     if wd < 0.0 or wu < 0.0:

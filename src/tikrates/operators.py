@@ -190,14 +190,13 @@ class SpectralOperator:
                    basis_note="; ".join(parts), dropped=dropped)
 
     @classmethod
-    def from_matrix(cls, matrix, *, truncated: bool = False,
-                    note: str = "", check_seed: int = 0) -> "SpectralOperator":
-        """Operator given by a dense real matrix.
+    def from_matrix(cls, matrix, *, note: str = "") -> "SpectralOperator":
+        """Exact (not truncated) operator given by a dense real matrix.
 
         The singular system is computed once; directions with singular value
         below ``DROP_RTOL`` times the largest are removed and logged.  The
         stored system is verified to reproduce the matrix action to
-        ``DENSE_CHECK_RTOL`` relative error on random vectors.
+        ``DENSE_CHECK_RTOL`` relative error on seeded random vectors.
         """
         mat = np.array(matrix, dtype=float, copy=True)
         if mat.ndim != 2 or mat.size == 0:
@@ -225,14 +224,14 @@ class SpectralOperator:
         if dropped:
             parts.append(f"dropped {dropped} null directions below "
                          f"{DROP_RTOL:g}*sigma_max")
-        op = cls(kind="dense", sigma=s[:k], truncated=truncated,
+        op = cls(kind="dense", sigma=s[:k], truncated=False,
                  basis_note="; ".join(parts), dropped=dropped,
                  matrix=mat, u_range=u_range, u_null=u_null, vt_range=vt_range)
-        op._verify_singular_system(check_seed)
+        op._verify_singular_system()
         return op
 
-    def _verify_singular_system(self, seed: int) -> None:
-        rng = np.random.default_rng(seed)
+    def _verify_singular_system(self) -> None:
+        rng = np.random.default_rng(0)
         scale = float(self.sigma[0])
         for _ in range(4):
             x = rng.standard_normal(self.matrix.shape[1])
@@ -263,10 +262,11 @@ class SpectralOperator:
         """Build a data-side coefficient vector."""
         return CoeffVector(coeffs, self.data)
 
-    def basis_vector(self, index: int, side: str = "domain") -> CoeffVector:
+    def basis_vector(self, index: int) -> CoeffVector:
+        """Domain-side unit vector of the ``index``-th singular direction."""
         arr = np.zeros(self.n)
         arr[index] = 1.0
-        return CoeffVector(arr, self.domain if side == "domain" else self.data)
+        return CoeffVector(arr, self.domain)
 
     # Ambient interface (dense only) ------------------------------------------
 

@@ -27,6 +27,10 @@ FIT_MAX_RESID = 0.1
 #: squared singular value; below it truncation dominates the error.
 GRID_FLOOR_FACTOR = 10.0
 
+#: Alpha grid and solution-difference tolerance of the off-range comparison.
+Q_PROJECTION_ALPHAS = tuple(np.logspace(-8.0, 0.0, 9).tolist())
+Q_PROJECTION_TOL = 1e-10
+
 WORST_CASE_BASIS = "worst_case_basis"
 RANDOM_SPHERE = "random_sphere"
 IN_RANGE = "in_range"
@@ -245,11 +249,11 @@ class QProjectionResult:
         return self.equivalent
 
 
-def q_projection_equivalence(op: SpectralOperator, y, e_offrange,
-                             alpha_grid=None, tol: float = 1e-10,
-                             ) -> QProjectionResult:
+def q_projection_equivalence(op: SpectralOperator, y,
+                             e_offrange) -> QProjectionResult:
     """Check that perturbing dense-operator data orthogonally to the retained
-    range leaves the regularized solutions unchanged on an alpha grid.
+    range leaves the regularized solutions unchanged, to ``Q_PROJECTION_TOL``,
+    at every alpha of ``Q_PROJECTION_ALPHAS``.
 
     Both solves go through the ambient normal equations, so the agreement is
     a genuine numerical fact rather than an artifact of projecting first.
@@ -257,22 +261,19 @@ def q_projection_equivalence(op: SpectralOperator, y, e_offrange,
     together with the observed solution difference.
     """
     op._require_dense()
-    tol = in_interval("tol", tol, "(-inf, inf)")
     y = np.asarray(y, dtype=float).reshape(-1)
     e = np.asarray(e_offrange, dtype=float).reshape(-1)
     if y.shape[0] != op.matrix.shape[0] or e.shape[0] != y.shape[0]:
         raise ValueError("ambient vectors must match the matrix rows")
-    if alpha_grid is None:
-        alpha_grid = np.logspace(-8.0, 0.0, 9)
     _, off = op.data_from_ambient(e)
     in_range = float(np.sqrt(max(e @ e - off ** 2, 0.0)))
     max_diff = 0.0
-    for alpha in np.asarray(alpha_grid, dtype=float):
-        u_clean = solve_normal_equations(op, y, float(alpha))
-        u_pert = solve_normal_equations(op, y + e, float(alpha))
+    for alpha in Q_PROJECTION_ALPHAS:
+        u_clean = solve_normal_equations(op, y, alpha)
+        u_pert = solve_normal_equations(op, y + e, alpha)
         max_diff = max(max_diff,
                        float(np.linalg.norm(u_pert.coeffs - u_clean.coeffs)))
-    return QProjectionResult(equivalent=bool(max_diff <= tol),
+    return QProjectionResult(equivalent=bool(max_diff <= Q_PROJECTION_TOL),
                              max_difference=max_diff,
                              off_range_norm=float(off),
                              in_range_norm=in_range)

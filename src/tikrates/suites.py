@@ -13,6 +13,9 @@ from .operators import SpectralOperator, vector_measure
 
 CS_RHOS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
+SPLIT_MAX_ATOMS = 6
+SPLIT_MAX_MASS = 4
+
 
 def cs_bound_suite(count: int = 10000, seed: int = 0) -> dict:
     """Random (operator, v, w, rho, window) instances of the Cauchy-Schwarz
@@ -103,13 +106,13 @@ def _split_oracle(lambdas, masses):
     return lambdas[-1], total, abs(masses[-1]), total
 
 
-def split_point_suite(max_atoms: int = 6, max_mass: int = 4) -> dict:
+def split_point_suite() -> dict:
     """Exhaustive half-mass check over all integer-mass measures with up to
-    ``max_atoms`` atoms and masses in 1..``max_mass``."""
+    ``SPLIT_MAX_ATOMS`` atoms and masses in 1..``SPLIT_MAX_MASS``."""
     cases = violations = 0
-    for k in range(1, max_atoms + 1):
+    for k in range(1, SPLIT_MAX_ATOMS + 1):
         lambdas = [float(i) for i in range(1, k + 1)]
-        for masses in product(range(1, max_mass + 1), repeat=k):
+        for masses in product(range(1, SPLIT_MAX_MASS + 1), repeat=k):
             cases += 1
             mu = DiscreteMeasure(lambdas, [float(m) for m in masses])
             sp = split_point(mu)

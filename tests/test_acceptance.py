@@ -165,7 +165,7 @@ def test_criterion_6_measure_inequality_suites():
     gate.check(tail["violations"] == 0,
                f"{tail['violations']} tail-bound violations")
     gate.check(tail["premise_passing"] > 500, "too few premise passers")
-    split = split_point_suite(max_atoms=6, max_mass=4)
+    split = split_point_suite()
     gate.check(split["violations"] == 0,
                f"{split['violations']} split violations")
     gate.check(split["cases"] == sum(4 ** k for k in range(1, 7)),
@@ -194,14 +194,14 @@ def test_criterion_7_implication_chain_on_random_instances():
             continue
         omega_norm = ssc.constants["omega_norm"]
         beta = tk.ssc_to_hvi_certificate(omega_norm)
-        hvi = tk.check_hvi(op, u_dag, nu, seed=i, n_random=200)
+        hvi = tk.check_hvi(op, u_dag, nu, seed=i)
         # converted doubled-form constant must dominate every probe pairing
         if hvi.verdict != tk.CERTIFIED or \
                 2.0 * hvi.constants["beta_lower"] > beta * (1.0 + 1e-9):
             chain_failures += 1
             continue
         mu, bp, gm = tk.hvi_to_ivi_certificate(beta, nu)
-        ivi = tk.check_ivi(op, u_dag, mu, bp, gm, seed=i, n_random=200)
+        ivi = tk.check_ivi(op, u_dag, mu, bp, gm, seed=i)
         if ivi.verdict != tk.CERTIFIED:
             chain_failures += 1
     gate.check(chain_failures == 0, f"{chain_failures}/500 chain violations")
@@ -210,14 +210,12 @@ def test_criterion_7_implication_chain_on_random_instances():
     for seed in range(40):
         inst = tk.build("finite_rank", 32, seed=seed)
         nu = 0.5
-        hvi = tk.check_hvi(inst.op, inst.u_dagger, nu, seed=seed,
-                           n_random=200)
+        hvi = tk.check_hvi(inst.op, inst.u_dagger, nu, seed=seed)
         if hvi.verdict != tk.CERTIFIED:
             exact_failures += 1
             continue
         mu, bp, gm = tk.ivi_from_hvi_report(hvi)
-        ivi = tk.check_ivi(inst.op, inst.u_dagger, mu, bp, gm, seed=seed,
-                           n_random=200)
+        ivi = tk.check_ivi(inst.op, inst.u_dagger, mu, bp, gm, seed=seed)
         ssc = tk.check_standard_sc(inst.op, inst.u_dagger, nu)
         if ivi.verdict == tk.CERTIFIED and ssc.verdict != tk.CERTIFIED:
             exact_failures += 1

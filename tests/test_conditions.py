@@ -291,7 +291,7 @@ def test_certified_tail_constant_converts_into_both_inequalities():
         c_const = tail.constants["C"]
         for rho, checker in ((1.0, tk.check_hvi), (2.0, tk.check_svi)):
             beta = tk.scr_to_vi_certificate(c_const, nu, rho)
-            rep = checker(inst.op, inst.u_dagger, nu, seed=seed, n_random=200)
+            rep = checker(inst.op, inst.u_dagger, nu, seed=seed)
             assert rep.verdict == tk.CERTIFIED
             assert 2.0 * rep.constants["beta_lower"] <= beta * (1.0 + 1e-9)
 

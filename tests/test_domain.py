@@ -17,7 +17,6 @@ C26 = tk.build("counter26", 20)
 OP, U, Y = C26.op, C26.u_dagger, C26.y
 DENSE = tk.build("finite_rank", 16)
 Y_AMB = DENSE.op.ambient_from_data(DENSE.y)
-E_OFF = DENSE.op.null_data_directions()[:, 0]
 M = DiscreteMeasure([0.5, 1.0, 2.0], [0.1, 0.2, 0.3])
 DELTAS = np.logspace(-6.0, -2.0, 9)
 ALPHAS = np.logspace(-8.0, 0.0, 9)
@@ -47,7 +46,7 @@ ROWS = [
      lambda v: tk.hvi_to_ivi_certificate(1.0, v), 0.5),
     ("scr_to_vi_certificate", "C", "[0, inf)",
      lambda v: tk.scr_to_vi_certificate(v, 0.5, 1.0), 1.0),
-    ("scr_to_vi_certificate", "nu", REALS,
+    ("scr_to_vi_certificate", "nu", "(0, inf)",
      lambda v: tk.scr_to_vi_certificate(1.0, v, 1.0), 0.5),
     ("scr_to_vi_certificate", "rho", REALS,
      lambda v: tk.scr_to_vi_certificate(1.0, 0.5, v), 1.0),
@@ -74,9 +73,6 @@ ROWS = [
      lambda v: noisy_sweep_rows(OP, Y, DELTAS, v, tk.NoiseModel()), 1.0),
     ("infimum_rate", "delta", "[0, inf)",
      lambda v: tk.infimum_rate(OP, Y, v, tk.NoiseModel(), ALPHAS), 1e-3),
-    ("q_projection_equivalence", "tol", REALS,
-     lambda v: tk.q_projection_equivalence(DENSE.op, Y_AMB, E_OFF, tol=v),
-     1e-10),
     ("power_apply", "r", REALS, lambda v: tk.power_apply(OP, v, U), 0.5),
     ("spectral_projection_norm", "lam", "[0, inf)",
      lambda v: tk.spectral_projection_norm(OP, U, v), 0.5),

@@ -75,7 +75,7 @@ def test_battery_flags_a_wrong_expectation():
     inst = tk.build("counter26", 60)
     doctored = tk.NamedInstance(
         name=inst.name, op=inst.op, y=inst.y, u_dagger=inst.u_dagger,
-        expected={("hvi", 0.5): tk.REFUTED_AT_N}, n=inst.n)
+        expected={("hvi", 0.5): tk.REFUTED_AT_N})
     rows = tk.run_battery(doctored)
     assert len(rows) == 1 and not rows[0]["match"]
 

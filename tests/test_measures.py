@@ -31,6 +31,23 @@ def test_weighted_sum_rejects_negative_power_at_zero_atom():
     assert mu.weighted_sum(1.0) == 1.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-10.0, 10.0)),
+                      max_size=12, unique_by=lambda atom: atom[0]),
+       ends=st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0)))
+def test_window_sum_counts_abs_mass_in_closed_window(atoms, ends):
+    atoms = sorted(atoms)
+    mu = DiscreteMeasure([lam for lam, _ in atoms], [m for _, m in atoms])
+    a, b = sorted(ends)
+    for hi in (b, np.inf):
+        want = sum(abs(m) for lam, m in atoms if a <= lam <= hi)
+        got = mu.abs().weighted_sum(0.0, a, hi)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for lo, hi in ((np.nan, b), (a, np.nan), (-1.0 - a, b), (b + 1.0, b)):
+        with pytest.raises(ValueError, match=r"^need 0 <= a <= b$"):
+            mu.abs().weighted_sum(0.0, lo, hi)
+
+
 def _triple(rng, n):
     op = tk.SpectralOperator.diagonal(rng.uniform(0.3, 1.5, n))
     v = op.vector(rng.standard_normal(n))
@@ -171,14 +188,6 @@ def test_split_point_half_mass_invariants(seed):
     assert sp.a_lambda >= 0.5 * sp.a_inf - 1e-12
     assert sp.b_lambda >= 0.5 * sp.a_inf - 1e-12
     assert sp.a_inf == pytest.approx(mu.total_variation(), rel=1e-12)
-
-
-def test_exhaustive_split_suite_small():
-    from tikrates.suites import split_point_suite
-
-    out = split_point_suite(max_atoms=4, max_mass=3)
-    assert out["violations"] == 0
-    assert out["cases"] == 3 + 9 + 27 + 81
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0])

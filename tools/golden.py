@@ -2,10 +2,10 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 55 files into OUTDIR: ``conformance --all``; ``check`` on every
-documented (instance, condition, parameter) at n = 60; and, on every named
-instance, ``rates --mode noisy --mu 1.0`` as JSON and as CSV plus
-``rates --mode infimum``.  The package is imported from the ``src`` directory
+Writes 56 files into OUTDIR: ``conformance --all``; ``lemmas --count 2000``;
+``check`` on every documented (instance, condition, parameter) at n = 60;
+and, on every named instance, ``rates --mode noisy --mu 1.0`` as JSON and as
+CSV plus ``rates --mode infimum``.  The package is imported from the ``src`` directory
 next to this script, so running the script from two checkouts and comparing
 the output directories with ``diff -r`` shows whether a change moved any
 output byte.
@@ -29,7 +29,9 @@ N = 60
 
 def invocations(outdir: Path) -> list:
     runs = [["conformance", "--all", "--n", str(N),
-             "--output", str(outdir / "conformance_all.json")]]
+             "--output", str(outdir / "conformance_all.json")],
+            ["lemmas", "--count", "2000",
+             "--output", str(outdir / "lemmas_2000.json")]]
     for name in INSTANCE_NAMES:
         for condition, param in sorted(build(name, n=N).expected):
             flag = "--mu" if condition == IVI else "--nu"
