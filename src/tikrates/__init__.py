@@ -12,7 +12,7 @@ from .instances import INSTANCE_NAMES, NamedInstance, build, run_battery
 from .measures import (DiscreteMeasure, MeasurePremiseError, SplitPoint,
                        cs_measure_bound, split_point, tail_integral_bound)
 from .operators import (CoeffVector, Frame, FrameMismatchError,
-                        SpectralOperator, adjoint_apply, apply, power_apply,
+                        SpectralOperator, apply, power_apply,
                         spectral_projection_norm, vector_measure)
 from .rates import (IN_RANGE, RANDOM_SPHERE, WORST_CASE_BASIS,
                     DegenerateGridError, NoiseModel, QProjectionResult,
@@ -31,7 +31,7 @@ __all__ = [
     "check_svi", "check_spectral_tail", "ssc_to_hvi_certificate",
     "hvi_to_ivi_certificate", "scr_to_vi_certificate", "ivi_from_hvi_report",
     "SpectralOperator", "CoeffVector", "Frame", "FrameMismatchError",
-    "apply", "adjoint_apply", "power_apply", "spectral_projection_norm",
+    "apply", "power_apply", "spectral_projection_norm",
     "vector_measure",
     "DiscreteMeasure", "SplitPoint", "MeasurePremiseError",
     "cs_measure_bound", "tail_integral_bound", "split_point",

@@ -212,7 +212,7 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
         _cum_family("head", d, d, wpow, m_index),
         _cum_family("head_flat", np.sign(d), d, wpow, m_index),
     ]
-    w_inv = d / np.where(sig > 0, sig ** rho, 1.0)
+    w_inv = d / sig ** rho
     if np.all(np.isfinite(w_inv)):
         fams.append(_cum_family("head_inv_weight", w_inv, d, wpow, m_index))
         for width in (4, 8, 16):
@@ -470,6 +470,42 @@ def _split_upper_bound(op, d, nu, rho):
     return h[::-1]
 
 
+def _worst_probe(fams, score, truncated):
+    """One scan of the probe families for the largest ``score(fam)`` entry.
+
+    Returns ``(best, fam, k, scores, slope)``: the largest positive score
+    (else 0, with ``fam`` None), located at ``fam.index[k]``, and ``slope``
+    None.  On a truncated section the scan stops at the first ordered family
+    whose scores diverge and returns that family's maximum and trace slope.
+    """
+    best, top = 0.0, (None, 0, None)
+    for fam in fams:
+        scores = score(fam)
+        k = int(np.argmax(scores))
+        if scores[k] > best:
+            best, top = float(scores[k]), (fam, k, scores)
+        # trace growth only signifies divergence on a truncated section;
+        # an exact finite problem always has a finite supremum
+        if fam.ordered and truncated:
+            div, slope = _divergent(fam.index, scores)
+            if div:
+                return best, fam, k, scores, slope
+    return (best, *top, None)
+
+
+def _witness(fam, k, **score) -> dict:
+    return {"family": fam.label, "index": int(fam.index[k]), **score,
+            "ip": float(fam.ip[k]), "norm": float(fam.nrm[k]),
+            "pnorm": float(fam.pnm[k])}
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _pairing_ratios(fam, expo):
+    denom = fam.pnm ** expo * fam.nrm ** (1.0 - expo)
+    ratios = np.where(denom > 0.0, fam.ip / denom, 0.0)
+    return np.where(np.isfinite(ratios), ratios, 0.0)
+
+
 def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed):
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
@@ -478,36 +514,19 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed):
         return ConditionReport(condition, nu, CERTIFIED,
                                {"beta": 0.0, "beta_lower": 0.0}, [], n)
 
-    expo = nu / rho
     fams = probe_families(op, u_dagger, rho, seed=seed)
-    beta_lower = 0.0
-    lower_witness = None
-    for fam in fams:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = fam.pnm ** expo * fam.nrm ** (1.0 - expo)
-            ratios = np.where(denom > 0.0, fam.ip / denom, 0.0)
-        ratios = np.where(np.isfinite(ratios), ratios, 0.0)
-        k = int(np.argmax(ratios))
-        if ratios[k] > beta_lower:
-            beta_lower = float(ratios[k])
-            lower_witness = {"family": fam.label, "index": int(fam.index[k]),
-                             "ratio": float(ratios[k])}
-        # trace growth only signifies divergence on a truncated section;
-        # an exact finite problem always has a finite supremum
-        if fam.ordered and op.truncated:
-            div, slope = _divergent(fam.index, ratios)
-            if div:
-                trace = _decimate(fam.index, ratios)
-                return ConditionReport(
-                    condition, nu, REFUTED_AT_N,
-                    {"beta_lower": beta_lower, "trace_slope": slope},
-                    trace, n,
-                    witness={"family": fam.label, "index": int(fam.index[k]),
-                             "ratio": float(ratios[k]),
-                             "ip": float(fam.ip[k]), "norm": float(fam.nrm[k]),
-                             "pnorm": float(fam.pnm[k])},
-                    notes=("witness ratios grow without bound along the "
-                           f"family {fam.label!r}",))
+    beta_lower, fam, k, ratios, slope = _worst_probe(
+        fams, lambda f: _pairing_ratios(f, nu / rho), op.truncated)
+    if slope is not None:
+        return ConditionReport(
+            condition, nu, REFUTED_AT_N,
+            {"beta_lower": beta_lower, "trace_slope": slope},
+            _decimate(fam.index, ratios), n,
+            witness=_witness(fam, k, ratio=float(ratios[k])),
+            notes=("witness ratios grow without bound along the "
+                   f"family {fam.label!r}",))
+    lower_witness = None if fam is None else {
+        "family": fam.label, "index": int(fam.index[k]), "ratio": beta_lower}
 
     candidates = {}
     h = _split_upper_bound(op, d, nu, rho)
@@ -526,7 +545,7 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed):
                     candidates["beta_direct"] = beta_direct
 
     tail_c = None
-    if nu < min(rho, 2.0) and 0.0 < nu:
+    if nu < min(rho, 2.0):
         tail_rep = check_spectral_tail(op, u_dagger, nu)
         if tail_rep.verdict == CERTIFIED:
             tail_c = tail_rep.constants["C"]
@@ -577,15 +596,16 @@ def check_svi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
 # Inhomogeneous variational inequality ---------------------------------------
 
 
-def _needed_beta(ip, nrm, pnm, mu, gamma):
+def _needed_beta(fam, mu, gamma):
     """Smallest beta making the inhomogeneous inequality hold on the ray
-    through one probe, optimized over the scale in closed form.
+    through each probe of a family, optimized over the scale in closed form.
 
     For ``mu = 1`` the supremum sits at vanishing scale and equals
     ``2 ip / ||L u||``; for ``mu < 1`` with positive ``gamma`` the optimum
     is interior; with ``gamma = 0`` and ``mu < 1`` no finite beta works for
     a probe with positive pairing.
     """
+    ip, nrm, pnm = fam.ip, fam.nrm, fam.pnm
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if mu == 1.0:
             need = 2.0 * ip / pnm
@@ -619,39 +639,21 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
                                {"beta": beta, "gamma": gamma}, [], n)
 
     fams = probe_families(op, u_dagger, 1.0, seed=seed)
-    worst_need = 0.0
-    worst_witness = None
-    worst_trace = []
-    for fam in fams:
-        need = _needed_beta(fam.ip, fam.nrm, fam.pnm, mu, gamma)
-        k = int(np.argmax(need))
-        if need[k] > worst_need:
-            worst_need = float(need[k])
-            worst_witness = {"family": fam.label, "index": int(fam.index[k]),
-                             "needed_beta": float(need[k]),
-                             "ip": float(fam.ip[k]), "norm": float(fam.nrm[k]),
-                             "pnorm": float(fam.pnm[k])}
-            worst_trace = _decimate(fam.index, need) if fam.ordered else []
-        if fam.ordered and op.truncated:
-            div, slope = _divergent(fam.index, need)
-            if div:
-                return ConditionReport(
-                    IVI, mu, REFUTED_AT_N,
-                    {"beta": beta, "gamma": gamma,
-                     "needed_beta": float(need[k]), "trace_slope": slope},
-                    _decimate(fam.index, need), n,
-                    witness={"family": fam.label, "index": int(fam.index[k]),
-                             "needed_beta": float(need[k]),
-                             "ip": float(fam.ip[k]), "norm": float(fam.nrm[k]),
-                             "pnorm": float(fam.pnm[k])},
-                    notes=("needed beta grows without bound along the family "
-                           f"{fam.label!r}; no constants can hold",))
-    if worst_need > beta * (1.0 + REL_SLACK) + 1e-12:
-        return ConditionReport(IVI, mu, REFUTED_AT_N,
-                               {"beta": beta, "gamma": gamma,
-                                "needed_beta": worst_need},
-                               worst_trace, n, witness=worst_witness)
-    return ConditionReport(IVI, mu, CERTIFIED,
-                           {"beta": beta, "gamma": gamma,
-                            "needed_beta": worst_need},
-                           worst_trace, n, witness=worst_witness)
+    worst_need, fam, k, need, slope = _worst_probe(
+        fams, lambda f: _needed_beta(f, mu, gamma), op.truncated)
+    if slope is not None:
+        return ConditionReport(
+            IVI, mu, REFUTED_AT_N,
+            {"beta": beta, "gamma": gamma,
+             "needed_beta": float(need[k]), "trace_slope": slope},
+            _decimate(fam.index, need), n,
+            witness=_witness(fam, k, needed_beta=float(need[k])),
+            notes=("needed beta grows without bound along the family "
+                   f"{fam.label!r}; no constants can hold",))
+    refuted = worst_need > beta * (1.0 + REL_SLACK) + 1e-12
+    return ConditionReport(
+        IVI, mu, REFUTED_AT_N if refuted else CERTIFIED,
+        {"beta": beta, "gamma": gamma, "needed_beta": worst_need},
+        _decimate(fam.index, need) if fam is not None and fam.ordered else [],
+        n, witness=None if fam is None else _witness(
+            fam, k, needed_beta=worst_need))

@@ -120,11 +120,8 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
     else:
         raise ValueError(f"unknown instance {name!r}; "
                          f"choose from {INSTANCE_NAMES}")
-    return NamedInstance(name=name, op=op,
-                         y=op.data_vector(y) if op.kind == "dense"
-                         else op.vector(y),
-                         u_dagger=op.vector(d),
-                         expected=expected)
+    return NamedInstance(name=name, op=op, y=op.data_vector(y),
+                         u_dagger=op.vector(d), expected=expected)
 
 
 def derive_ivi_constants(inst: NamedInstance, mu: float, *,

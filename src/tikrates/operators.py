@@ -86,14 +86,6 @@ class CoeffVector:
     def scaled(self, factor: float) -> "CoeffVector":
         return CoeffVector(self.coeffs * float(factor), self.frame)
 
-    def __add__(self, other: "CoeffVector") -> "CoeffVector":
-        _require_same_frame(self.frame, other.frame)
-        return CoeffVector(self.coeffs + other.coeffs, self.frame)
-
-    def __sub__(self, other: "CoeffVector") -> "CoeffVector":
-        _require_same_frame(self.frame, other.frame)
-        return CoeffVector(self.coeffs - other.coeffs, self.frame)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CoeffVector(n={len(self)}, frame={self.frame.label!r})"
 
@@ -326,12 +318,6 @@ def apply(op: SpectralOperator, u: CoeffVector) -> CoeffVector:
     """
     _require_same_frame(u.frame, op.domain)
     return CoeffVector(op.sigma * u.coeffs, op.data)
-
-
-def adjoint_apply(op: SpectralOperator, y: CoeffVector) -> CoeffVector:
-    """Apply the adjoint to a data vector."""
-    _require_same_frame(y.frame, op.data)
-    return CoeffVector(op.sigma * y.coeffs, op.domain)
 
 
 def power_apply(op: SpectralOperator, r: float, u: CoeffVector) -> CoeffVector:

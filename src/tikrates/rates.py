@@ -4,9 +4,7 @@ the power parameter choice ``alpha = delta**(2 - mu)``, and the projection
 argument showing off-range data perturbations do not move the solutions.
 
 Grids are swept through the closed-form spectral filters, so one singular
-system serves every (alpha, delta, trial) combination.  Per-point results
-are reduced in grid order, which keeps the output independent of any
-parallel evaluation scheme.
+system serves every (alpha, delta, trial) combination.
 """
 
 from __future__ import annotations
@@ -148,26 +146,40 @@ def noise_free_rate(op: SpectralOperator, y, alpha_grid) -> RateFit:
     return _fit(alphas, errors, clipped)
 
 
-def _worst_case_gain(delta, resp, bias):
-    """Growth of the squared error when the data move by ``+-delta`` along
-    each basis direction, the sign chosen to align with the bias."""
-    return (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
+def _family_errors(op, u_dag: CoeffVector, delta, alphas, noise: NoiseModel,
+                   trials: int | None) -> np.ndarray:
+    """Error for every (alpha, noise direction) pair, one row per alpha.
+
+    Worst-case basis noise moves the data by ``+-delta`` along each basis
+    direction with the sign that aligns with the bias; at ``delta = 0`` every
+    direction leaves just the bias, so each row has a single column.
+    """
+    if trials is None:
+        trials = noise.default_trials()
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    lam = op.sigma ** 2
+    bias = -alphas / (alphas + lam) * u_dag.coeffs
+    if delta == 0.0:
+        return np.linalg.norm(bias, axis=1)[:, None]
+    resp = op.sigma / (alphas + lam)
+    if noise.kind == WORST_CASE_BASIS:
+        gain = (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
+        # a dot product per row, not a summed square: it keeps the noisy
+        # sweep's outputs to the last bit
+        gain += np.array([b @ b for b in bias])[:, None]
+        return np.sqrt(gain, out=gain)
+    dirs = noise.directions(op, trials)
+    return np.array([np.linalg.norm(b + delta * dirs * r, axis=1)
+                     for b, r in zip(bias, resp)])
 
 
 def _noisy_errors(op, u_dag: CoeffVector, delta, alpha, noise: NoiseModel,
-                  trials: int):
+                  trials: int | None):
     """Worst error over the noise family at one (delta, alpha); returns
     (error, witness index)."""
-    lam = op.sigma ** 2
-    bias = -alpha / (alpha + lam) * u_dag.coeffs
-    resp = op.sigma / (alpha + lam)
-    if noise.kind == WORST_CASE_BASIS:
-        gain = _worst_case_gain(delta, resp, bias)
-        k = int(np.argmax(gain))
-        return float(np.sqrt(bias @ bias + gain[k])), k
-    dirs = noise.directions(op, trials)
-    shifted = bias[None, :] + delta * dirs * resp[None, :]
-    errs = np.linalg.norm(shifted, axis=1)
+    errs = _family_errors(op, u_dag, delta, [alpha], noise, trials)[0]
     k = int(np.argmax(errs))
     return float(errs[k]), k
 
@@ -179,10 +191,6 @@ def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
     in increasing delta."""
     mu = in_interval("mu", mu, "(0, 1]")
     deltas = _check_grid(delta_grid, 3.0, "delta")
-    if trials is None:
-        trials = noise.default_trials()
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     u_dag = min_norm_solution(op, y)
     rows = []
     for delta in deltas:
@@ -216,24 +224,9 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
     if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < np.inf)):
         raise DegenerateGridError(
             "alpha grid must be positive, finite and non-empty")
-    lam = op.sigma ** 2
-    u_dag = min_norm_solution(op, y)
-    bias = -alphas[:, None] / (alphas[:, None] + lam[None, :]) * u_dag.coeffs
-    if delta == 0.0:
-        return float(np.linalg.norm(bias, axis=1).min())
-    resp = op.sigma[None, :] / (alphas[:, None] + lam[None, :])
-    if trials is None:
-        trials = noise.default_trials()
-    if noise.kind == WORST_CASE_BASIS:
-        gain = _worst_case_gain(delta, resp, bias)
-        errs = np.sqrt(np.sum(bias ** 2, axis=1)[:, None] + gain)  # (alpha, k)
-        return float(errs.min(axis=0).max())
-    dirs = noise.directions(op, trials)  # (trial, n)
-    best = np.inf * np.ones(dirs.shape[0])
-    for i in range(alphas.size):
-        shifted = bias[i][None, :] + delta * dirs * resp[i][None, :]
-        best = np.minimum(best, np.linalg.norm(shifted, axis=1))
-    return float(best.max())
+    errs = _family_errors(op, min_norm_solution(op, y), delta, alphas, noise,
+                          trials)
+    return float(errs.min(axis=0).max())
 
 
 @dataclass(frozen=True)

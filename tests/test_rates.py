@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import tikrates as tk
+from tikrates.cli import main
 from tikrates.rates import (DegenerateGridError, NoiseModel,
                             infimum_rate, noise_free_rate, noisy_rate,
                             noisy_sweep_rows, q_projection_equivalence)
+from tikrates.tikhonov import min_norm_solution
 
 
 def test_noise_free_geometric_order_one_quarter():
@@ -138,6 +140,41 @@ def test_infimum_rate_rejects_negative_or_nan_delta():
         with pytest.raises(ValueError, match="delta"):
             infimum_rate(inst.op, inst.y, delta, NoiseModel(),
                          np.logspace(-9, -2, 40))
+
+
+@pytest.mark.parametrize("kind", [tk.WORST_CASE_BASIS, tk.RANDOM_SPHERE,
+                                  tk.IN_RANGE])
+def test_infimum_rate_rejects_trials_below_one(kind, capsys):
+    inst = tk.build("counter26", 60)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            infimum_rate(inst.op, inst.y, 1e-4, NoiseModel(kind=kind),
+                         np.logspace(-9, -2, 10), trials)
+    noise = {tk.WORST_CASE_BASIS: "worst-case", tk.RANDOM_SPHERE: "random",
+             tk.IN_RANGE: "in-range"}[kind]
+    assert main(["rates", "--instance", "counter26", "--mode", "infimum",
+                 "--noise", noise, "--trials", "0", "--no-timestamp"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_one_point_infimum_equals_noisy_error():
+    # one alpha leaves nothing to minimize: both sweeps share one kernel,
+    # so the worst error over the noise family agrees to the last bit
+    mismatches = []
+    for name in tk.INSTANCE_NAMES:
+        inst = tk.build(name, 60)
+        u_dag = min_norm_solution(inst.op, inst.y)
+        for kind in (tk.WORST_CASE_BASIS, tk.RANDOM_SPHERE, tk.IN_RANGE):
+            noise = NoiseModel(kind=kind, seed=5)
+            for delta in (1e-5, 1e-2):
+                for alpha in (1e-8, 1e-4, 1e-1):
+                    inf_val = infimum_rate(inst.op, inst.y, delta, noise,
+                                           [alpha], 7)
+                    err, _ = tk.rates._noisy_errors(inst.op, u_dag, delta,
+                                                    alpha, noise, 7)
+                    if inf_val != err:
+                        mismatches.append((name, kind, delta, alpha))
+    assert mismatches == []
 
 
 def test_infimum_rate_consistent_with_fit_constant():

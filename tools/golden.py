@@ -2,11 +2,13 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 56 files into OUTDIR: ``conformance --all``; ``lemmas --count 2000``;
+Writes 86 files into OUTDIR: ``conformance --all``; ``lemmas --count 2000``;
 ``check`` on every documented (instance, condition, parameter) at n = 60;
-and, on every named instance, ``rates --mode noisy --mu 1.0`` as JSON and as
-CSV plus ``rates --mode infimum``.  The package is imported from the ``src`` directory
-next to this script, so running the script from two checkouts and comparing
+and, on every named instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV
+and as CSV under ``--noise random --trials 5``; ``rates --mode infimum``
+plain, with ``--noise in-range`` and with ``--delta 0``; ``check --condition
+svi --nu 1.0``; and ``check --condition ivi --mu 1.0 --beta 0.1 --gamma 0``.
+The package is imported from the ``src`` directory next to this script, so running the script from two checkouts and comparing
 the output directories with ``diff -r`` shows whether a change moved any
 output byte.
 """
@@ -45,8 +47,22 @@ def invocations(outdir: Path) -> list:
         runs.append(noisy + ["--output", str(outdir / f"rates_{name}_noisy.json")])
         runs.append(noisy + ["--format", "csv",
                              "--output", str(outdir / f"rates_{name}_noisy.csv")])
-        runs.append(rates + ["--mode", "infimum",
-                             "--output", str(outdir / f"rates_{name}_infimum.json")])
+        runs.append(noisy + ["--noise", "random", "--trials", "5",
+                             "--format", "csv", "--output",
+                             str(outdir / f"rates_{name}_noisy_random.csv")])
+        infimum = rates + ["--mode", "infimum"]
+        runs.append(infimum + ["--output",
+                               str(outdir / f"rates_{name}_infimum.json")])
+        runs.append(infimum + ["--noise", "in-range", "--output",
+                               str(outdir / f"rates_{name}_infimum_in_range.json")])
+        runs.append(infimum + ["--delta", "0", "--output",
+                               str(outdir / f"rates_{name}_infimum_delta0.json")])
+        check = ["check", "--instance", name, "--n", str(N)]
+        runs.append(check + ["--condition", "svi", "--nu", "1.0", "--output",
+                             str(outdir / f"check_{name}_svi_nu1.json")])
+        runs.append(check + ["--condition", "ivi", "--mu", "1.0",
+                             "--beta", "0.1", "--gamma", "0", "--output",
+                             str(outdir / f"check_{name}_ivi_beta0.1.json")])
     return runs
 
 
