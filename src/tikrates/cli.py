@@ -18,6 +18,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,12 +52,25 @@ def _out_path(path: str) -> Path:
     return p
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by the string ``"inf"``,
+    ``"-inf"`` or ``"nan"``, which strict JSON can carry."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _dump_json(payload: dict, path: str | None, stamp: bool) -> str:
     if stamp:
         payload = dict(payload)
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
     if path:
         _out_path(path).write_text(text + "\n")
     return text
@@ -216,7 +230,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=2.0 / 3.0)
     p.add_argument("--noise", default="worst-case",
                    choices=sorted(NOISE_ALIASES))
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None,
+                   help="directions per noise level (random and in-range "
+                        "noise only)")
     p.add_argument("--alpha-min", type=float, default=1e-10)
     p.add_argument("--alpha-max", type=float, default=1e-4)
     p.add_argument("--alpha-points", type=int, default=25)

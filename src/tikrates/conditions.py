@@ -199,6 +199,14 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     single basis directions, truncated copies of the solution (plain and
     reweighted by powers of the singular values), flat averaging heads, and
     sliding windows of the inverse-weighted profile.
+
+    The random probes form one seeded stream cut into 256-row blocks, the
+    second half of each block sign-aligned with the solution.  They are
+    streamed through one preallocated chunk whose row count is a multiple
+    of 4 and starts at each block's start, so BLAS sums every row as it
+    would over the whole block and the outputs keep their bits.  The random
+    family needs O(rows * n) memory, not O(256 * n): rows is the multiple
+    of 4 from 4 to 256 that keeps a chunk near 2**14 doubles.
     """
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
@@ -232,19 +240,28 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     fams.append(_Family("tail", m_index, ip, nrm, pnm, ordered=True))
 
     rng = np.random.default_rng(seed)
-    ips, nrms, pnms = [], [], []
+    ip, nrm, pnm = (np.empty(RANDOM_PROBES) for _ in range(3))
     sign = np.sign(d)
+    # about 2**14 doubles (128 KB) per chunk, a whole block at n <= 64
+    rows = 4 * max(1, min(64, 2 ** 12 // n))
+    buf = np.empty((rows, n))
     for start in range(0, RANDOM_PROBES, 256):
-        block = min(256, RANDOM_PROBES - start)
-        x = rng.standard_normal((block, n))
-        half = block // 2
-        x[half:] = np.abs(x[half:]) * sign  # sign-aligned half probes
-        ips.append(x @ d)
-        nrms.append(np.linalg.norm(x, axis=1))
-        pnms.append(np.sqrt((x ** 2) @ wpow))
-    fams.append(_Family("random", np.arange(RANDOM_PROBES),
-                        np.concatenate(ips), np.concatenate(nrms),
-                        np.concatenate(pnms), ordered=False))
+        end = min(start + 256, RANDOM_PROBES)
+        half = start + (end - start) // 2
+        for lo in range(start, end, rows):
+            hi = min(lo + rows, end)
+            x = buf[:hi - lo]
+            rng.standard_normal(out=x)
+            aligned = x[max(half - lo, 0):]  # sign-aligned half probes
+            np.abs(aligned, out=aligned)
+            aligned *= sign
+            ip[lo:hi] = x @ d
+            np.multiply(x, x, out=x)
+            nrm[lo:hi] = np.add.reduce(x, axis=1)
+            pnm[lo:hi] = x @ wpow
+    fams.append(_Family("random", np.arange(RANDOM_PROBES), ip,
+                        np.sqrt(nrm, out=nrm), np.sqrt(pnm, out=pnm),
+                        ordered=False))
     return fams
 
 

@@ -29,6 +29,10 @@ GRID_FLOOR_FACTOR = 10.0
 Q_PROJECTION_ALPHAS = tuple(np.logspace(-8.0, 0.0, 9).tolist())
 Q_PROJECTION_TOL = 1e-10
 
+#: Random directions per noise level when ``trials`` is not given; the
+#: worst-case family takes no ``trials``.
+RANDOM_TRIALS = 32
+
 WORST_CASE_BASIS = "worst_case_basis"
 RANDOM_SPHERE = "random_sphere"
 IN_RANGE = "in_range"
@@ -54,9 +58,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in (WORST_CASE_BASIS, RANDOM_SPHERE, IN_RANGE):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-
-    def default_trials(self) -> int:
-        return 1 if self.kind == WORST_CASE_BASIS else 32
 
     def directions(self, op: SpectralOperator, trials: int) -> np.ndarray:
         """Unit-norm perturbation directions, one per row."""
@@ -152,12 +153,17 @@ def _family_errors(op, u_dag: CoeffVector, delta, alphas, noise: NoiseModel,
 
     Worst-case basis noise moves the data by ``+-delta`` along each basis
     direction with the sign that aligns with the bias; at ``delta = 0`` every
-    direction leaves just the bias, so each row has a single column.
+    direction leaves just the bias, so each row has a single column.  The
+    random kinds draw ``trials`` directions, ``RANDOM_TRIALS`` by default;
+    worst-case noise takes no ``trials``.
     """
     if trials is None:
-        trials = noise.default_trials()
-    if trials < 1:
+        trials = RANDOM_TRIALS
+    elif trials < 1:
         raise ValueError("trials must be at least 1")
+    elif noise.kind == WORST_CASE_BASIS:
+        raise ValueError("trials applies to random and in-range noise; "
+                         "worst-case noise probes every basis direction once")
     alphas = np.asarray(alphas, dtype=float)[:, None]
     lam = op.sigma ** 2
     bias = -alphas / (alphas + lam) * u_dag.coeffs

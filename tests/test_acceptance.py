@@ -146,7 +146,8 @@ def test_criterion_5_error_bound_zero_violations():
         if not rep.holds:
             violations += 1
         # the measured worst-case error obeys the same bound
-        err, _ = _noisy_errors(inst.op, inst.u_dagger, delta, alpha, noise, 1)
+        err, _ = _noisy_errors(inst.op, inst.u_dagger, delta, alpha, noise,
+                               None)
         if err ** 2 > rep.rhs + 1e-12:
             violations += 1
     gate.check(violations == 0, f"{violations} bound violations")

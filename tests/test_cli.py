@@ -49,6 +49,19 @@ def test_check_ivi_derives_constants_when_omitted(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "Certified"
 
 
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_check_output_is_strict_json_with_infinite_constants(capsys):
+    assert main(["check", "--instance", "counter26", "--condition", "ivi",
+                 "--mu", "0.6", "--beta", "100", "--gamma", "0",
+                 "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert payload["constants"]["needed_beta"] == "inf"
+
+
 def test_rates_noise_free_csv_and_summary(tmp_path, capsys):
     out = tmp_path / "nf.csv"
     code = main(["rates", "--instance", "counter26", "--mode", "noise-free",

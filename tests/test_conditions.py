@@ -1,6 +1,7 @@
 """Tests for the condition checkers and certificate conversions."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -347,3 +348,62 @@ def test_checks_are_deterministic_for_fixed_seed():
     a = tk.check_hvi(inst.op, inst.u_dagger, 0.5, seed=123)
     b = tk.check_hvi(inst.op, inst.u_dagger, 0.5, seed=123)
     assert a.to_json() == b.to_json()
+
+
+# Random probe stream ----------------------------------------------------------
+
+
+def _random_family_reference(d, wpow, seed):
+    """The random block computed over whole 256-row blocks, as it was before
+    the probes were streamed through chunks."""
+    rng = np.random.default_rng(seed)
+    ips, nrms, pnms = [], [], []
+    sign = np.sign(d)
+    for start in range(0, cond.RANDOM_PROBES, 256):
+        block = min(256, cond.RANDOM_PROBES - start)
+        x = rng.standard_normal((block, d.size))
+        half = block // 2
+        x[half:] = np.abs(x[half:]) * sign
+        ips.append(x @ d)
+        nrms.append(np.linalg.norm(x, axis=1))
+        pnms.append(np.sqrt((x ** 2) @ wpow))
+    return np.concatenate(ips), np.concatenate(nrms), np.concatenate(pnms)
+
+
+def _assert_random_family_matches_reference(op, u, rho, seed):
+    fam = cond.probe_families(op, u, rho, seed=seed)[-1]
+    assert fam.label == "random"
+    ip, nrm, pnm = _random_family_reference(u.coeffs, op.sigma ** (2.0 * rho),
+                                            seed)
+    assert np.array_equal(fam.ip, ip)
+    assert np.array_equal(fam.nrm, nrm)
+    assert np.array_equal(fam.pnm, pnm)
+
+
+# n = 60 streams whole blocks; n = 65 a 252-row chunk that crosses the
+# sign-aligned half; larger n several chunks per block
+@pytest.mark.parametrize("n", [60, 65, 400, 900, 10_000])
+@pytest.mark.parametrize("rho", [1.0, 2.0])
+def test_random_probe_stream_matches_whole_block_reference(n, rho):
+    inst = tk.build("harmonic4", n)
+    _assert_random_family_matches_reference(inst.op, inst.u_dagger, rho, 5)
+
+
+def test_random_probe_stream_matches_reference_on_zero_coefficients():
+    # sign(0) = 0 zeroes those coordinates of the aligned half probes
+    inst = tk.build("harmonic4", 400)
+    coeffs = inst.u_dagger.coeffs.copy()
+    coeffs[::3] = 0.0
+    u = tk.CoeffVector(coeffs, inst.u_dagger.frame)
+    _assert_random_family_matches_reference(inst.op, u, 1.0, 3)
+
+
+def test_probe_families_memory_does_not_scale_with_the_block():
+    inst = tk.build("harmonic4", 20_000)
+    tracemalloc.start()
+    try:
+        cond.probe_families(inst.op, inst.u_dagger, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

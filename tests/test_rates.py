@@ -130,7 +130,7 @@ def test_infimum_rate_never_exceeds_power_rule_choice():
         grid = np.append(grid, alpha_star)
         inf_val = infimum_rate(inst.op, inst.y, delta, noise, grid)
         row_err, _ = tk.rates._noisy_errors(inst.op, inst.u_dagger, delta,
-                                            alpha_star, noise, 1)
+                                            alpha_star, noise, None)
         assert inf_val <= row_err * (1.0 + 1e-12)
 
 
@@ -157,6 +157,22 @@ def test_infimum_rate_rejects_trials_below_one(kind, capsys):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
+def test_worst_case_noise_rejects_trials(capsys):
+    inst = tk.build("counter26", 60)
+    noise = NoiseModel(kind=tk.WORST_CASE_BASIS)
+    for trials in (1, 5):
+        with pytest.raises(ValueError, match="trials applies to random"):
+            noisy_rate(inst.op, inst.y, np.logspace(-8, -2, 25), 2.0 / 3.0,
+                       noise, trials)
+        with pytest.raises(ValueError, match="trials applies to random"):
+            infimum_rate(inst.op, inst.y, 1e-4, noise,
+                         np.logspace(-9, -2, 10), trials)
+    for mode in ("noisy", "infimum"):
+        assert main(["rates", "--instance", "counter26", "--mode", mode,
+                     "--trials", "5", "--no-timestamp"]) == 2
+        assert "trials applies to random" in capsys.readouterr().err
+
+
 def test_one_point_infimum_equals_noisy_error():
     # one alpha leaves nothing to minimize: both sweeps share one kernel,
     # so the worst error over the noise family agrees to the last bit
@@ -166,12 +182,13 @@ def test_one_point_infimum_equals_noisy_error():
         u_dag = min_norm_solution(inst.op, inst.y)
         for kind in (tk.WORST_CASE_BASIS, tk.RANDOM_SPHERE, tk.IN_RANGE):
             noise = NoiseModel(kind=kind, seed=5)
+            trials = None if kind == tk.WORST_CASE_BASIS else 7
             for delta in (1e-5, 1e-2):
                 for alpha in (1e-8, 1e-4, 1e-1):
                     inf_val = infimum_rate(inst.op, inst.y, delta, noise,
-                                           [alpha], 7)
+                                           [alpha], trials)
                     err, _ = tk.rates._noisy_errors(inst.op, u_dag, delta,
-                                                    alpha, noise, 7)
+                                                    alpha, noise, trials)
                     if inf_val != err:
                         mismatches.append((name, kind, delta, alpha))
     assert mismatches == []

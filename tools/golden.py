@@ -2,15 +2,19 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 86 files into OUTDIR: ``conformance --all``; ``lemmas --count 2000``;
+Writes 92 files into OUTDIR: ``conformance --all``; ``lemmas --count 2000``;
 ``check`` on every documented (instance, condition, parameter) at n = 60;
-and, on every named instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV
-and as CSV under ``--noise random --trials 5``; ``rates --mode infimum``
-plain, with ``--noise in-range`` and with ``--delta 0``; ``check --condition
-svi --nu 1.0``; and ``check --condition ivi --mu 1.0 --beta 0.1 --gamma 0``.
-The package is imported from the ``src`` directory next to this script, so running the script from two checkouts and comparing
-the output directories with ``diff -r`` shows whether a change moved any
-output byte.
+the six deep ``check`` calls of the benchmark's ``certify_deep`` workload
+(identity hvi, tail and ssc and harmonic4 tail at n = 10^5, identity svi and
+harmonic4 ivi at n = 10^4), where the random probes pass through several
+chunks per block; and, on every named instance, ``rates --mode noisy --mu
+1.0`` as JSON, as CSV and as CSV under ``--noise random --trials 5``;
+``rates --mode infimum`` plain, with ``--noise in-range`` and with ``--delta
+0``; ``check --condition svi --nu 1.0``; and ``check --condition ivi --mu
+1.0 --beta 0.1 --gamma 0``.  The package is imported from the ``src``
+directory next to this script, so running the script from two checkouts and
+comparing the output directories with ``diff -r`` shows whether a change
+moved any output byte.
 """
 
 from __future__ import annotations
@@ -27,6 +31,12 @@ from tikrates.conditions import IVI  # noqa: E402
 from tikrates.instances import INSTANCE_NAMES, build  # noqa: E402
 
 N = 60
+DEEP_CHECKS = (("identity", 100000, "hvi", "--nu", "0.5"),
+               ("identity", 100000, "tail", "--nu", "1.0"),
+               ("identity", 100000, "ssc", "--nu", "1.0"),
+               ("harmonic4", 100000, "tail", "--nu", "1.0"),
+               ("identity", 10000, "svi", "--nu", "1.0"),
+               ("harmonic4", 10000, "ivi", "--mu", "1.0"))
 
 
 def invocations(outdir: Path) -> list:
@@ -41,6 +51,11 @@ def invocations(outdir: Path) -> list:
             runs.append(["check", "--instance", name, "--n", str(N),
                          "--condition", condition, flag, repr(param),
                          "--output", str(out)])
+    for name, n, condition, flag, param in DEEP_CHECKS:
+        out = outdir / f"check_{name}_n{n}_{condition}_{param}.json"
+        runs.append(["check", "--instance", name, "--n", str(n),
+                     "--condition", condition, flag, param,
+                     "--output", str(out)])
     for name in INSTANCE_NAMES:
         rates = ["rates", "--instance", name, "--n", str(N)]
         noisy = rates + ["--mode", "noisy", "--mu", "1.0"]
