@@ -60,11 +60,11 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
     def directions(self, op: SpectralOperator, trials: int) -> np.ndarray:
-        """Unit-norm perturbation directions, one per row."""
-        rng = np.random.default_rng(self.seed)
+        """Unit-norm perturbation directions of the random kinds, one per
+        row; worst-case noise draws none, its error has a closed form."""
         if self.kind == WORST_CASE_BASIS:
-            eye = np.eye(op.n)
-            return np.vstack([eye, -eye])
+            raise ValueError("worst-case noise draws no directions")
+        rng = np.random.default_rng(self.seed)
         x = rng.standard_normal((trials, op.n))
         if self.kind == IN_RANGE:
             x = x * op.sigma
@@ -99,6 +99,9 @@ class RateFit:
 def _fit(xs, ys, clipped) -> RateFit:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if not np.all(np.isfinite(ys)):
+        raise DegenerateGridError("errors are not finite on the grid; "
+                                  "nothing to fit")
     if np.any(ys <= 0.0):
         raise DegenerateGridError("errors vanish on the grid; nothing to fit")
     slope, icpt, resid, i, j = best_loglog_window(xs, ys, FIT_MAX_RESID)
@@ -147,45 +150,52 @@ def noise_free_rate(op: SpectralOperator, y, alpha_grid) -> RateFit:
     return _fit(alphas, errors, clipped)
 
 
-def _family_errors(op, u_dag: CoeffVector, delta, alphas, noise: NoiseModel,
-                   trials: int | None) -> np.ndarray:
+def _noise_directions(op, noise: NoiseModel, trials: int | None):
+    """The noise directions one sweep shares over every noise level and
+    alpha: None for worst-case noise, whose error has a closed form, else
+    ``trials`` seeded directions, ``RANDOM_TRIALS`` by default; worst-case
+    noise takes no ``trials``."""
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be at least 1")
+    if noise.kind == WORST_CASE_BASIS:
+        if trials is not None:
+            raise ValueError("trials applies to random and in-range noise; "
+                             "worst-case noise probes every basis direction "
+                             "once")
+        return None
+    return noise.directions(op, RANDOM_TRIALS if trials is None else trials)
+
+
+def _family_errors(op, u_dag: CoeffVector, delta, alphas,
+                   dirs: np.ndarray | None) -> np.ndarray:
     """Error for every (alpha, noise direction) pair, one row per alpha.
 
-    Worst-case basis noise moves the data by ``+-delta`` along each basis
-    direction with the sign that aligns with the bias; at ``delta = 0`` every
-    direction leaves just the bias, so each row has a single column.  The
-    random kinds draw ``trials`` directions, ``RANDOM_TRIALS`` by default;
-    worst-case noise takes no ``trials``.
+    ``dirs`` comes from ``_noise_directions``.  Worst-case basis noise
+    (``dirs`` None) moves the data by ``+-delta`` along each basis direction
+    with the sign that aligns with the bias; at ``delta = 0`` every
+    direction leaves just the bias, so each row has a single column.
     """
-    if trials is None:
-        trials = RANDOM_TRIALS
-    elif trials < 1:
-        raise ValueError("trials must be at least 1")
-    elif noise.kind == WORST_CASE_BASIS:
-        raise ValueError("trials applies to random and in-range noise; "
-                         "worst-case noise probes every basis direction once")
     alphas = np.asarray(alphas, dtype=float)[:, None]
     lam = op.sigma ** 2
     bias = -alphas / (alphas + lam) * u_dag.coeffs
     if delta == 0.0:
         return np.linalg.norm(bias, axis=1)[:, None]
     resp = op.sigma / (alphas + lam)
-    if noise.kind == WORST_CASE_BASIS:
+    if dirs is None:
         gain = (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
         # a dot product per row, not a summed square: it keeps the noisy
         # sweep's outputs to the last bit
         gain += np.array([b @ b for b in bias])[:, None]
         return np.sqrt(gain, out=gain)
-    dirs = noise.directions(op, trials)
     return np.array([np.linalg.norm(b + delta * dirs * r, axis=1)
                      for b, r in zip(bias, resp)])
 
 
-def _noisy_errors(op, u_dag: CoeffVector, delta, alpha, noise: NoiseModel,
-                  trials: int | None):
+def _noisy_errors(op, u_dag: CoeffVector, delta, alpha,
+                  dirs: np.ndarray | None):
     """Worst error over the noise family at one (delta, alpha); returns
     (error, witness index)."""
-    errs = _family_errors(op, u_dag, delta, [alpha], noise, trials)[0]
+    errs = _family_errors(op, u_dag, delta, [alpha], dirs)[0]
     k = int(np.argmax(errs))
     return float(errs[k]), k
 
@@ -198,10 +208,11 @@ def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
     mu = in_interval("mu", mu, "(0, 1]")
     deltas = _check_grid(delta_grid, 3.0, "delta")
     u_dag = min_norm_solution(op, y)
+    dirs = _noise_directions(op, noise, trials)
     rows = []
     for delta in deltas:
         alpha = delta ** (2.0 - mu)
-        err, k = _noisy_errors(op, u_dag, delta, alpha, noise, trials)
+        err, k = _noisy_errors(op, u_dag, delta, alpha, dirs)
         rows.append((float(delta), err, float(alpha), k))
     return rows
 
@@ -230,8 +241,8 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
     if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < np.inf)):
         raise DegenerateGridError(
             "alpha grid must be positive, finite and non-empty")
-    errs = _family_errors(op, min_norm_solution(op, y), delta, alphas, noise,
-                          trials)
+    errs = _family_errors(op, min_norm_solution(op, y), delta, alphas,
+                          _noise_directions(op, noise, trials))
     return float(errs.min(axis=0).max())
 
 

@@ -130,7 +130,6 @@ def test_criterion_5_error_bound_zero_violations():
     gate.check(ivi.verdict == tk.CERTIFIED,
                f"converted constants not verified: {ivi.verdict}")
     lam = inst.op.lambdas
-    noise = NoiseModel(kind=tk.WORST_CASE_BASIS)
     violations = 0
     for delta in np.logspace(-8, -2, 25):
         alpha = delta ** (2.0 - mu)
@@ -146,8 +145,7 @@ def test_criterion_5_error_bound_zero_violations():
         if not rep.holds:
             violations += 1
         # the measured worst-case error obeys the same bound
-        err, _ = _noisy_errors(inst.op, inst.u_dagger, delta, alpha, noise,
-                               None)
+        err, _ = _noisy_errors(inst.op, inst.u_dagger, delta, alpha, None)
         if err ** 2 > rep.rhs + 1e-12:
             violations += 1
     gate.check(violations == 0, f"{violations} bound violations")

@@ -5,7 +5,7 @@ import pytest
 
 import tikrates as tk
 from tikrates.cli import main
-from tikrates.rates import (DegenerateGridError, NoiseModel,
+from tikrates.rates import (DegenerateGridError, NoiseModel, _fit,
                             infimum_rate, noise_free_rate, noisy_rate,
                             noisy_sweep_rows, q_projection_equivalence)
 from tikrates.tikhonov import min_norm_solution
@@ -54,6 +54,15 @@ def test_grids_reject_non_finite_points():
     deltas[-1] = np.inf
     with pytest.raises(DegenerateGridError, match="finite"):
         noisy_rate(inst.op, inst.y, deltas, 2.0 / 3.0, NoiseModel())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_errors(bad):
+    xs = np.logspace(-4.0, 0.0, 10)
+    ys = xs ** 0.5
+    ys[3] = bad
+    with pytest.raises(DegenerateGridError, match="not finite"):
+        _fit(xs, ys, clipped=False)
 
 
 def test_noise_free_clips_below_truncation_floor():
@@ -106,6 +115,42 @@ def test_noisy_sweep_rows_validates_like_noisy_rate():
                          NoiseModel(kind=tk.RANDOM_SPHERE), 0)
 
 
+def _counting_directions(monkeypatch):
+    calls = []
+    draw = NoiseModel.directions
+
+    def counted(self, op, trials):
+        calls.append(trials)
+        return draw(self, op, trials)
+
+    monkeypatch.setattr(NoiseModel, "directions", counted)
+    return calls
+
+
+def test_each_sweep_draws_its_noise_directions_once(monkeypatch):
+    inst = tk.build("harmonic4", 300)
+    u_dag = min_norm_solution(inst.op, inst.y)
+    deltas = np.logspace(-6, -2, 12)
+    noise = NoiseModel(kind=tk.RANDOM_SPHERE, seed=4)
+    # per-point reference: a fresh draw of the same seeded directions
+    expected = []
+    for delta in deltas:
+        alpha = delta ** (2.0 - 0.5)
+        err, k = tk.rates._noisy_errors(inst.op, u_dag, delta, alpha,
+                                        noise.directions(inst.op, 6))
+        expected.append((float(delta), err, float(alpha), k))
+    calls = _counting_directions(monkeypatch)
+    rows = noisy_sweep_rows(inst.op, inst.y, deltas, 0.5, noise, 6)
+    assert rows == expected
+    assert calls == [6]
+    infimum_rate(inst.op, inst.y, 1e-3, noise, np.logspace(-9, -2, 20), 6)
+    assert calls == [6, 6]
+    worst = NoiseModel(kind=tk.WORST_CASE_BASIS)
+    noisy_sweep_rows(inst.op, inst.y, deltas, 0.5, worst)
+    infimum_rate(inst.op, inst.y, 1e-3, worst, np.logspace(-9, -2, 20))
+    assert calls == [6, 6]
+
+
 def test_noise_model_rejects_unknown_kind():
     with pytest.raises(ValueError, match="bogus"):
         NoiseModel(kind="bogus")
@@ -113,8 +158,11 @@ def test_noise_model_rejects_unknown_kind():
 
 def test_noise_directions_have_exact_unit_norm():
     inst = tk.build("counter26", 40)
-    for kind in (tk.WORST_CASE_BASIS, tk.RANDOM_SPHERE, tk.IN_RANGE):
+    with pytest.raises(ValueError, match="worst-case noise draws no"):
+        NoiseModel(kind=tk.WORST_CASE_BASIS).directions(inst.op, 16)
+    for kind in (tk.RANDOM_SPHERE, tk.IN_RANGE):
         dirs = NoiseModel(kind=kind, seed=3).directions(inst.op, 16)
+        assert dirs.shape == (16, 40)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
                                    rtol=1e-14)
 
@@ -130,7 +178,7 @@ def test_infimum_rate_never_exceeds_power_rule_choice():
         grid = np.append(grid, alpha_star)
         inf_val = infimum_rate(inst.op, inst.y, delta, noise, grid)
         row_err, _ = tk.rates._noisy_errors(inst.op, inst.u_dagger, delta,
-                                            alpha_star, noise, None)
+                                            alpha_star, None)
         assert inf_val <= row_err * (1.0 + 1e-12)
 
 
@@ -183,12 +231,14 @@ def test_one_point_infimum_equals_noisy_error():
         for kind in (tk.WORST_CASE_BASIS, tk.RANDOM_SPHERE, tk.IN_RANGE):
             noise = NoiseModel(kind=kind, seed=5)
             trials = None if kind == tk.WORST_CASE_BASIS else 7
+            dirs = None if trials is None else noise.directions(inst.op,
+                                                                trials)
             for delta in (1e-5, 1e-2):
                 for alpha in (1e-8, 1e-4, 1e-1):
                     inf_val = infimum_rate(inst.op, inst.y, delta, noise,
                                            [alpha], trials)
                     err, _ = tk.rates._noisy_errors(inst.op, u_dag, delta,
-                                                    alpha, noise, trials)
+                                                    alpha, dirs)
                     if inf_val != err:
                         mismatches.append((name, kind, delta, alpha))
     assert mismatches == []

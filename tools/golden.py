@@ -2,19 +2,21 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 92 files into OUTDIR: ``conformance --all``; ``lemmas --count 2000``;
-``check`` on every documented (instance, condition, parameter) at n = 60;
-the six deep ``check`` calls of the benchmark's ``certify_deep`` workload
-(identity hvi, tail and ssc and harmonic4 tail at n = 10^5, identity svi and
-harmonic4 ivi at n = 10^4), where the random probes pass through several
-chunks per block; and, on every named instance, ``rates --mode noisy --mu
-1.0`` as JSON, as CSV and as CSV under ``--noise random --trials 5``;
-``rates --mode infimum`` plain, with ``--noise in-range`` and with ``--delta
-0``; ``check --condition svi --nu 1.0``; and ``check --condition ivi --mu
-1.0 --beta 0.1 --gamma 0``.  The package is imported from the ``src``
-directory next to this script, so running the script from two checkouts and
-comparing the output directories with ``diff -r`` shows whether a change
-moved any output byte.
+Writes 100 files into OUTDIR: ``conformance --all``; ``lemmas --count
+2000``; ``check`` on every documented (instance, condition, parameter) at
+n = 60; the six deep ``check`` calls of the benchmark's ``certify_deep``
+workload (identity hvi, tail and ssc and harmonic4 tail at n = 10^5,
+identity svi and harmonic4 ivi at n = 10^4), where the random probes pass
+through several chunks per block; the eight harmonic4 n = 10^4 ``rates``
+calls of the benchmark's ``rate_sweeps`` workload at seed 1, with 100- to
+200-point fit windows and random noise at n = 10^4; and, on every named
+instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV and as CSV under
+``--noise random --trials 5``; ``rates --mode infimum`` plain, with
+``--noise in-range`` and with ``--delta 0``; ``check --condition svi --nu
+1.0``; and ``check --condition ivi --mu 1.0 --beta 0.1 --gamma 0``.  The
+package is imported from the ``src`` directory next to this script, so
+running the script from two checkouts and comparing the output directories
+with ``diff -r`` shows whether a change moved any output byte.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ DEEP_CHECKS = (("identity", 100000, "hvi", "--nu", "0.5"),
                ("harmonic4", 100000, "tail", "--nu", "1.0"),
                ("identity", 10000, "svi", "--nu", "1.0"),
                ("harmonic4", 10000, "ivi", "--mu", "1.0"))
+DEEP_RATES = (
+    "noise-free --alpha-min 1e-3 --alpha-max 1e2 --alpha-points 200",
+    "noise-free --alpha-min 2e-3 --alpha-max 1e3 --alpha-points 200",
+    "noise-free --alpha-min 1e-3 --alpha-max 1e1 --alpha-points 100",
+    "noisy --mu 0.5 --delta-points 200",
+    "noisy --mu 1.0 --noise random --trials 8 --delta-points 150",
+    "infimum --alpha-points 200",
+    "infimum --noise random --alpha-points 100",
+    "infimum --noise random --alpha-points 200 --delta 1e-3")
 
 
 def invocations(outdir: Path) -> list:
@@ -55,6 +66,11 @@ def invocations(outdir: Path) -> list:
         out = outdir / f"check_{name}_n{n}_{condition}_{param}.json"
         runs.append(["check", "--instance", name, "--n", str(n),
                      "--condition", condition, flag, param,
+                     "--output", str(out)])
+    for k, sweep in enumerate(DEEP_RATES, 1):
+        out = outdir / f"rates_harmonic4_n10000_{k}.json"
+        runs.append(["rates", "--instance", "harmonic4", "--n", "10000",
+                     "--mode", *sweep.split(), "--seed", "1",
                      "--output", str(out)])
     for name in INSTANCE_NAMES:
         rates = ["rates", "--instance", name, "--n", str(N)]
