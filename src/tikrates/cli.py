@@ -82,18 +82,16 @@ def _load_instance(args) -> NamedInstance:
         return build(ref, n=args.n, seed=args.seed)
     path = Path(ref)
     if not path.exists():
-        raise SystemExit(f"error: unknown instance {ref!r} and no such file")
+        raise ValueError(f"unknown instance {ref!r} and no such file")
     spec = json.loads(path.read_text())
     if "y" not in spec:
-        raise SystemExit("error: operator file must provide 'y'")
+        raise ValueError("operator file must provide 'y'")
     if "diagonal" in spec:
-        op = SpectralOperator.diagonal(spec["diagonal"],
-                                       note=f"loaded from {path.name}")
+        op = SpectralOperator.diagonal(spec["diagonal"])
     elif "matrix" in spec:
-        op = SpectralOperator.from_matrix(spec["matrix"],
-                                          note=f"loaded from {path.name}")
+        op = SpectralOperator.from_matrix(spec["matrix"])
     else:
-        raise SystemExit("error: operator file needs 'diagonal' or 'matrix'")
+        raise ValueError("operator file needs 'diagonal' or 'matrix'")
     y = np.asarray(spec["y"], dtype=float)
     if op.kind == "dense" and y.size == op.matrix.shape[0] != op.n:
         yvec, _ = op.data_from_ambient(y)
@@ -108,10 +106,14 @@ def _cmd_check(args) -> int:
     flag = "mu" if condition == cond.IVI else "nu"
     param = getattr(args, flag)
     if param is None:
-        raise SystemExit(f"error: --{flag} is required for this condition")
+        raise ValueError(f"--{flag} is required for this condition")
+    consts = {"beta": args.beta, "gamma": args.gamma}
+    if condition != cond.IVI:
+        if consts != {"beta": None, "gamma": None}:
+            raise ValueError("--beta and --gamma apply only to ivi")
+        consts = {}
     inst = _load_instance(args)
-    rep = CHECKS[condition](inst, param, args.seed, beta=args.beta,
-                            gamma=args.gamma)
+    rep = CHECKS[condition](inst, param, args.seed, **consts)
     text = _dump_json(rep.to_json(), args.output, not args.no_timestamp)
     print(text)
     return 0
@@ -177,8 +179,6 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_conformance(args) -> int:
     names = list(INSTANCE_NAMES) if args.all else [args.instance]
-    if names == [None]:
-        raise SystemExit("error: give --instance NAME or --all")
     rows = []
     for name in names:
         inst = build(name, n=args.n, seed=args.seed)
@@ -206,16 +206,19 @@ def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="tikrates", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--instance", help="instance name or operator JSON file")
-        p.add_argument("--n", type=int, default=60, help="truncation (>= 8)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="suppress the timestamp field for reproducible output")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--instance",
+                          help="instance name or operator JSON file")
+    instance.add_argument("--n", type=int, default=60, help="truncation (>= 8)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--seed", type=int, default=0)
+    output.add_argument("--output", help="output file path")
+    output.add_argument("--no-timestamp", action="store_true",
+                        help="suppress the timestamp field for reproducible "
+                             "output")
+    common = [instance, output]
 
-    p = sub.add_parser("check", help="run one condition check")
-    common(p)
+    p = sub.add_parser("check", parents=common, help="run one condition check")
     p.add_argument("--condition", required=True,
                    choices=sorted(CONDITION_ALIASES))
     p.add_argument("--nu", type=float, help="parameter for ssc/hvi/svi/tail")
@@ -223,8 +226,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="ivi constant (doubled form)")
     p.add_argument("--gamma", type=float, help="ivi constant")
 
-    p = sub.add_parser("rates", help="empirical convergence-order sweeps")
-    common(p)
+    p = sub.add_parser("rates", parents=common,
+                       help="empirical convergence-order sweeps")
     p.add_argument("--mode", required=True,
                    choices=("noise-free", "noisy", "infimum"))
     p.add_argument("--mu", type=float, default=2.0 / 3.0)
@@ -243,13 +246,12 @@ def _parser() -> argparse.ArgumentParser:
                    help="noise level for the infimum mode")
     p.add_argument("--format", default="json", choices=("json", "csv"))
 
-    p = sub.add_parser("lemmas", help="verify the measure inequalities in batch")
-    common(p)
+    p = sub.add_parser("lemmas", parents=[output],
+                       help="verify the measure inequalities in batch")
     p.add_argument("--count", type=int, default=10000)
 
-    p = sub.add_parser("conformance",
+    p = sub.add_parser("conformance", parents=common,
                        help="compare computed verdicts with documented ones")
-    common(p)
     p.add_argument("--all", action="store_true", help="run every named instance")
     return top
 
@@ -261,18 +263,13 @@ def main(argv=None) -> int:
     if needs_instance and args.instance is None:
         print("error: --instance is required", file=sys.stderr)
         return 2
-    if args.n < 8:
+    if "n" in args and args.n < 8:
         print("error: --n must be at least 8", file=sys.stderr)
         return 2
     handlers = {"check": _cmd_check, "rates": _cmd_rates,
                 "lemmas": _cmd_lemmas, "conformance": _cmd_conformance}
     try:
         return handlers[args.command](args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 2
-        raise
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -277,9 +277,28 @@ def _trace_window(n_points: int) -> int:
     return max(6, n_points // 100) - 1
 
 
+def _grows(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
+    """Growth rule for positive values: the log-log slope reaches
+    ``GROWTH_SLOPE``, or the positive increments of ``values**2`` follow a
+    power law whose exponent reaches ``POWER_DIVERGENT``, the terms of a
+    divergent series such as the ``1/n`` of ``values**2 ~ log(n)``.  Returns
+    the verdict and the log-log slope."""
+    x = np.log(np.asarray(index, dtype=float))
+    slope, _, _ = ls_line(x, np.log(values))
+    if slope >= GROWTH_SLOPE:
+        return True, slope
+    # scaled to at most 1 so that the squares cannot overflow
+    inc = np.diff((values / values.max()) ** 2)
+    pos = inc > 0.0
+    if np.count_nonzero(pos) < _MIN_FIT_POINTS:
+        return False, slope
+    expo, _, resid = ls_line(x[1:][pos], np.log(inc[pos]))
+    return bool(resid <= POWER_FIT_RESID and expo >= POWER_DIVERGENT), slope
+
+
 def _divergent(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
     """Divergence proxy: positive, non-decreasing values over the trace
-    window whose log-log slope reaches ``GROWTH_SLOPE``."""
+    window that grow by :func:`_grows`."""
     lo = _trace_window(len(values))
     idx = np.asarray(index, dtype=float)[lo:]
     val = values[lo:]
@@ -289,8 +308,7 @@ def _divergent(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
         return False, 0.0
     if val[-1] <= val[0] * (1.0 + REL_SLACK):
         return False, 0.0
-    slope, _, _ = ls_line(np.log(idx), np.log(val))
-    return slope >= GROWTH_SLOPE, slope
+    return _grows(idx, val)
 
 
 def _decimate(xs, ys) -> list:
@@ -315,13 +333,18 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     certificate norm is ``sqrt(S_N)``.  On a truncated section the tail
     terms are classified: geometric decay certifies, flat or growing terms
     and power-law tails with exponent at or above -1 refute, borderline
-    tails stay inconclusive.
+    tails stay inconclusive.  A ``sigma**(-2 nu)`` that overflows raises
+    ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2]")
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
     n = op.n
-    terms = d ** 2 * op.sigma ** (-2.0 * nu)
+    with np.errstate(over="ignore"):
+        weights = op.sigma ** (-2.0 * nu)
+    if np.isinf(weights).any():
+        raise ValueError(f"sigma**(-2 nu) overflows at nu = {nu:g}")
+    terms = d ** 2 * weights
     partial = np.cumsum(terms)
     total = float(partial[-1])
     m_index = np.arange(1, n + 1)
@@ -359,13 +382,12 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     log_t = np.log(t_w[pos])
     geo_slope, _, _ = ls_line(n_w[pos], log_t)
     pow_slope, _, pow_resid = ls_line(np.log(n_w[pos]), log_t)
-    s_slope, _, _ = ls_line(np.log(m_index[lo_dec - 1:].astype(float)),
-                            np.log(partial[lo_dec - 1:]))
+    s_grows, s_slope = _grows(m_index[lo_dec - 1:], partial[lo_dec - 1:])
     strictly_growing = bool(np.all(np.diff(partial[lo_dec - 1:]) > 0.0))
 
     fit_stats = {"term_slope": geo_slope, "power_exponent": pow_slope,
                  "power_resid": pow_resid, "sum_slope": s_slope}
-    if geo_slope >= -1e-3 and strictly_growing and s_slope >= GROWTH_SLOPE:
+    if geo_slope >= -1e-3 and strictly_growing and s_grows:
         return report(REFUTED_AT_N, {"omega_norm_partial": omega, **fit_stats},
                       witness={"kind": "partial_sums", "S_N": total,
                                "sum_slope": s_slope})
@@ -386,7 +408,7 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
         tail_bound = float(t_w[pos][-1] * r / (1.0 - r)) if r < 1.0 else np.inf
         return report(CERTIFIED, {"omega_norm": omega,
                                   "tail_estimate": tail_bound, **fit_stats})
-    if s_slope < GROWTH_SLOPE:
+    if not s_grows:
         return report(CERTIFIED, {"omega_norm": omega, **fit_stats})
     return report(INCONCLUSIVE, {"omega_norm_partial": omega, **fit_stats},
                   notes=("tail growth neither clearly bounded nor clearly "
@@ -405,6 +427,7 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
     attained on those atoms.  Certification additionally requires the decay
     exponent of ``T`` over the smallest spectral decades to reach ``nu``
     within tolerance, so that the constant is stable under deeper truncation.
+    A ``lam**nu`` that underflows raises ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2)")
     _require_same_frame(u_dagger.frame, op.domain)
@@ -419,6 +442,8 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
 
     if t_cum[-1] == 0.0:
         return report(CERTIFIED, {"C": 0.0})
+    if lam_u[0] ** nu == 0.0:
+        raise ValueError(f"lambda**nu underflows at nu = {nu:g}")
     ratios = t_cum / lam_u ** nu
     c_hat = float(ratios.max())
     c_const = float(np.sqrt(c_hat))
@@ -476,7 +501,7 @@ def _split_upper_bound(op, d, nu, rho):
     order = np.argsort(lam, kind="stable")
     lam_s = lam[order]
     d2 = (d ** 2)[order]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf maps to inf
         g_terms = d2 * lam_s ** (-rho)
     t_cum = np.cumsum(d2)
     g_cum = np.cumsum(g_terms[::-1])[::-1]
@@ -556,15 +581,16 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed):
             lo = _trace_window(n)
             depth = np.arange(1, n + 1, dtype=float)[lo:]
             vals = run_max[lo:]
-            if vals.size >= 2 and vals[0] > 0.0:
-                slope, _, _ = ls_line(np.log(depth), np.log(vals))
-                if slope < GROWTH_SLOPE:
-                    candidates["beta_direct"] = beta_direct
+            if vals.size >= 2 and vals[0] > 0.0 and not _grows(depth, vals)[0]:
+                candidates["beta_direct"] = beta_direct
 
     tail_c = None
     if nu < min(rho, 2.0):
-        tail_rep = check_spectral_tail(op, u_dagger, nu)
-        if tail_rep.verdict == CERTIFIED:
+        try:
+            tail_rep = check_spectral_tail(op, u_dagger, nu)
+        except ValueError:  # lambda**nu underflows: no tail route
+            tail_rep = None
+        if tail_rep is not None and tail_rep.verdict == CERTIFIED:
             tail_c = tail_rep.constants["C"]
             candidates["beta_from_tail"] = scr_to_vi_certificate(tail_c, nu, rho)
 

@@ -56,7 +56,7 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
     C, R = cond.CERTIFIED, cond.REFUTED_AT_N
 
     if name == "counter26":
-        op = SpectralOperator.diagonal(2.0 ** -idx, note="counter26 section")
+        op = SpectralOperator.diagonal(2.0 ** -idx)
         d = 2.0 ** (-idx / 2.0)
         y = 2.0 ** (-1.5 * idx)
         expected = {(cond.STANDARD_SC, 0.5): R,
@@ -66,14 +66,13 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
                     (cond.HVI, 0.5): C,
                     (cond.SPECTRAL_TAIL, 0.5): C}
     elif name == "harmonic4":
-        op = SpectralOperator.diagonal(idx ** -0.5, note="harmonic4 section")
+        op = SpectralOperator.diagonal(idx ** -0.5)
         d = 1.0 / idx
         y = idx ** -1.5
         expected = {(cond.SPECTRAL_TAIL, 1.0): C,
                     (cond.IVI, 1.0): R}
     elif name == "remark_nu_gap":
-        op = SpectralOperator.diagonal(idx ** -2.0 * 2.0 ** -idx,
-                                       note="remark_nu_gap section")
+        op = SpectralOperator.diagonal(idx ** -2.0 * 2.0 ** -idx)
         d = 2.0 ** (-idx / 2.0)
         y = idx ** -2.0 * 2.0 ** (-1.5 * idx)
         expected = {(cond.STANDARD_SC, 0.45): C,
@@ -81,8 +80,7 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
                     (cond.STANDARD_SC, 0.3): C,
                     (cond.HVI, 0.5): R}
     elif name == "identity":
-        op = SpectralOperator.diagonal(np.ones(n), truncated=False,
-                                       note="identity, well-posed")
+        op = SpectralOperator.diagonal(np.ones(n), truncated=False)
         d = 2.0 ** (-idx / 2.0)
         y = d.copy()
         expected = {(cond.STANDARD_SC, p): C for p in (0.5, 1.0, 1.5, 2.0)}
@@ -96,8 +94,7 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
         sig = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
         u_mat = _orthogonal(rng, n)[:, :k]
         v_mat = _orthogonal(rng, n)[:, :k]
-        op = SpectralOperator.from_matrix(u_mat @ (sig[:, None] * v_mat.T),
-                                          note="finite_rank instance")
+        op = SpectralOperator.from_matrix(u_mat @ (sig[:, None] * v_mat.T))
         d = rng.uniform(0.3, 1.0, op.n) * rng.choice([-1.0, 1.0], op.n)
         y = op.sigma * d
         expected = {(cond.STANDARD_SC, 0.5): C,
@@ -109,7 +106,7 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
         q = rng.uniform(0.5, 0.85)
         nu0 = rng.uniform(0.3, 1.0)
         sig = rng.uniform(0.5, 2.0) * q ** idx
-        op = SpectralOperator.diagonal(sig, note=f"random_diag seed={seed}")
+        op = SpectralOperator.diagonal(sig)
         r = rng.uniform(0.6, 0.9)
         omega = r ** idx * rng.uniform(0.4, 1.0, n) * rng.choice([-1.0, 1.0], n)
         d = sig ** nu0 * omega
@@ -146,17 +143,17 @@ def _check_ivi(inst: NamedInstance, mu: float, seed: int, beta=None,
     return cond.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma, seed=seed)
 
 
-#: Condition name -> check call ``(inst, param, seed, beta=None, gamma=None)``.
-#: Only ivi reads ``beta`` and ``gamma``; it derives the missing ones through
+#: Condition name -> check call ``(inst, param, seed)``.  Only the ivi call
+#: also takes ``beta`` and ``gamma``; it derives the missing ones through
 #: :func:`derive_ivi_constants`.
 CHECKS = {
-    cond.STANDARD_SC: lambda inst, nu, seed, **_:
+    cond.STANDARD_SC: lambda inst, nu, seed:
         cond.check_standard_sc(inst.op, inst.u_dagger, nu),
-    cond.HVI: lambda inst, nu, seed, **_:
+    cond.HVI: lambda inst, nu, seed:
         cond.check_hvi(inst.op, inst.u_dagger, nu, seed=seed),
-    cond.SVI: lambda inst, nu, seed, **_:
+    cond.SVI: lambda inst, nu, seed:
         cond.check_svi(inst.op, inst.u_dagger, nu, seed=seed),
-    cond.SPECTRAL_TAIL: lambda inst, nu, seed, **_:
+    cond.SPECTRAL_TAIL: lambda inst, nu, seed:
         cond.check_spectral_tail(inst.op, inst.u_dagger, nu),
     cond.IVI: _check_ivi,
 }

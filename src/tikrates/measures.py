@@ -91,11 +91,6 @@ class DiscreteMeasure:
             return 0.0
         return float(np.sum(m * lam ** power))
 
-    def to_json(self) -> dict:
-        return {"lambdas": self.lambdas.tolist(),
-                "masses": self.masses.tolist(),
-                "signed": self.signed}
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiscreteMeasure(atoms={len(self)}, signed={self.signed})"
 

@@ -73,9 +73,6 @@ class CoeffVector:
     def __setattr__(self, name, value):
         raise AttributeError("CoeffVector is immutable")
 
-    def __len__(self) -> int:
-        return self.coeffs.shape[0]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -87,7 +84,7 @@ class CoeffVector:
         return CoeffVector(self.coeffs * float(factor), self.frame)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CoeffVector(n={len(self)}, frame={self.frame.label!r})"
+        return f"CoeffVector(n={self.coeffs.size}, frame={self.frame.label!r})"
 
 
 def _require_same_frame(a: Frame, b: Frame) -> None:
@@ -111,16 +108,14 @@ class SpectralOperator:
     truncated : bool
         True when the operator is a finite section of an infinite family,
         in which case verdict-producing checks treat it as such.
-    basis_note : str
-        Textual record of the basis convention and of dropped directions.
     """
 
     __slots__ = (
-        "kind", "sigma", "truncated", "basis_note", "dropped",
+        "kind", "sigma", "truncated", "dropped",
         "domain", "data", "matrix", "_u_range", "_u_null", "_vt_range",
     )
 
-    def __init__(self, *, kind, sigma, truncated, basis_note, dropped,
+    def __init__(self, *, kind, sigma, truncated, dropped,
                  matrix=None, u_range=None, u_null=None, vt_range=None):
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 1 or sigma.size == 0:
@@ -136,7 +131,6 @@ class SpectralOperator:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "truncated", bool(truncated))
-        object.__setattr__(self, "basis_note", basis_note)
         object.__setattr__(self, "dropped", int(dropped))
         n = sigma.shape[0]
         tag = f"{kind}-{id(self):x}"
@@ -157,12 +151,12 @@ class SpectralOperator:
     # Constructors -----------------------------------------------------------
 
     @classmethod
-    def diagonal(cls, singular_values, *, truncated: bool = True,
-                 note: str = "") -> "SpectralOperator":
+    def diagonal(cls, singular_values, *,
+                 truncated: bool = True) -> "SpectralOperator":
         """Operator acting as multiplication by ``singular_values`` on an
         orthonormal basis.
 
-        Zero singular values are dropped and recorded in ``basis_note``; the
+        Zero singular values are dropped and counted in ``dropped``; the
         operator acts injectively on the retained coordinates.  ``truncated``
         marks the operator as a finite section of an infinite family.
         """
@@ -173,16 +167,11 @@ class SpectralOperator:
         dropped = int(np.count_nonzero(~keep))
         if dropped:
             logger.info("diagonal operator: dropped %d zero singular values", dropped)
-        parts = ["orthonormal basis, index order as given"]
-        if note:
-            parts.append(note)
-        if dropped:
-            parts.append(f"dropped {dropped} zero singular values")
         return cls(kind="diagonal", sigma=sig[keep], truncated=truncated,
-                   basis_note="; ".join(parts), dropped=dropped)
+                   dropped=dropped)
 
     @classmethod
-    def from_matrix(cls, matrix, *, note: str = "") -> "SpectralOperator":
+    def from_matrix(cls, matrix) -> "SpectralOperator":
         """Exact (not truncated) operator given by a dense real matrix.
 
         The singular system is computed once; directions with singular value
@@ -210,14 +199,7 @@ class SpectralOperator:
         vt_range = vt[:k, :].copy()
         for a in (u_range, u_null, vt_range):
             a.setflags(write=False)
-        parts = ["left/right singular bases of the stored matrix"]
-        if note:
-            parts.append(note)
-        if dropped:
-            parts.append(f"dropped {dropped} null directions below "
-                         f"{DROP_RTOL:g}*sigma_max")
-        op = cls(kind="dense", sigma=s[:k], truncated=False,
-                 basis_note="; ".join(parts), dropped=dropped,
+        op = cls(kind="dense", sigma=s[:k], truncated=False, dropped=dropped,
                  matrix=mat, u_range=u_range, u_null=u_null, vt_range=vt_range)
         op._verify_singular_system()
         return op

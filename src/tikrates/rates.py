@@ -16,7 +16,7 @@ import numpy as np
 from ._domain import in_interval
 from ._fitting import best_loglog_window
 from .operators import CoeffVector, SpectralOperator
-from .tikhonov import min_norm_solution, solve, solve_normal_equations
+from .tikhonov import min_norm_solution, solve_normal_equations
 
 #: Residual ceiling (log10 units) for the accepted fit window.
 FIT_MAX_RESID = 0.1
@@ -254,9 +254,6 @@ class QProjectionResult:
     max_difference: float
     off_range_norm: float
     in_range_norm: float
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.equivalent
 
 
 def q_projection_equivalence(op: SpectralOperator, y,

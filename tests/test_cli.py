@@ -161,6 +161,24 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("condition, flag", [("hvi", "--beta"),
+                                             ("ssc", "--gamma"),
+                                             ("svi", "--beta"),
+                                             ("tail", "--gamma")])
+def test_check_refuses_constants_only_ivi_reads(condition, flag, capsys):
+    assert main(["check", "--instance", "counter26", "--condition", condition,
+                 "--nu", "0.5", flag, "0.3"]) == 2
+    assert "apply only to ivi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--n", "100"],
+                                    ["--instance", "counter26"]])
+def test_lemmas_takes_no_instance_options(option):
+    with pytest.raises(SystemExit) as err:
+        main(["lemmas", "--count", "10", *option])
+    assert err.value.code == 2
+
+
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TIKRATES_OUTDIR", str(tmp_path))
     assert main(["check", "--instance", "counter26", "--condition", "hvi",

@@ -1,6 +1,7 @@
 """Tests for the condition checkers and certificate conversions."""
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 import tikrates as tk
 from tikrates import conditions as cond
+from tikrates.instances import CHECKS
 
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
@@ -123,6 +125,24 @@ def test_hvi_harmonic_refuted_at_parameter_one():
         == tk.REFUTED_AT_N
 
 
+@pytest.mark.parametrize("n", [60, 1_000, 10_000, 100_000])
+def test_harmonic_logarithmic_growth_refutes_at_every_depth(n):
+    # the needed constant grows like sqrt(log n): its log-log slope falls
+    # below GROWTH_SLOPE near n = 2e4, while the increments of its square
+    # keep following the divergent 1/n
+    inst = tk.build("harmonic4", n)
+    hvi = tk.check_hvi(inst.op, inst.u_dagger, 1.0)
+    # at nu = 1 the homogeneous inequality is equivalent to range membership
+    assert hvi.verdict == tk.REFUTED_AT_N
+    assert tk.check_standard_sc(inst.op, inst.u_dagger, 1.0).verdict \
+        == tk.REFUTED_AT_N
+    # twice the beta a growing split bound would have certified
+    ivi = tk.check_ivi(inst.op, inst.u_dagger, 1.0, 14.0, 0.0)
+    assert ivi.verdict == tk.REFUTED_AT_N
+    assert "trace_slope" in ivi.constants  # refuted by growth, not by beta
+    assert tk.check_hvi(inst.op, inst.u_dagger, 0.5).verdict == tk.CERTIFIED
+
+
 def test_hvi_converted_range_certificate_verifies():
     inst = tk.build("counter26", 60)
     ssc = tk.check_standard_sc(inst.op, inst.u_dagger, 0.4)
@@ -174,6 +194,29 @@ def test_svi_deep_section_refutes_without_overflow_warnings(name, nu):
         warnings.simplefilter("error", RuntimeWarning)
         rep = tk.check_svi(inst.op, inst.u_dagger, nu)
     assert rep.verdict == tk.REFUTED_AT_N
+
+
+@pytest.mark.parametrize("name, n, seed, condition, message", [
+    ("random_diag", 1000, 0, cond.SPECTRAL_TAIL, "lambda**nu underflows"),
+    ("counter26", 500, 0, cond.STANDARD_SC, "sigma**(-2 nu) overflows"),
+])
+def test_non_finite_spectral_powers_refuse(name, n, seed, condition, message):
+    inst = tk.build(name, n, seed)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CHECKS[condition](inst, 1.5, 0)
+
+
+@pytest.mark.parametrize("n, seed, nu", [(500, 2, 1.5), (1000, 0, 1.0),
+                                         (1000, 0, 1.5)])
+def test_svi_skips_the_non_finite_routes_of_a_deep_spectrum(n, seed, nu):
+    # lambda**1.5 underflows at the deep end of these spectra, and at
+    # n = 1000 so do the squared solution coefficients there
+    inst = tk.build("random_diag", n, seed)
+    rep = tk.check_svi(inst.op, inst.u_dagger, nu)
+    assert rep.constants
+    assert all(np.isfinite(v) for v in rep.constants.values())
+    if nu == 1.5:
+        assert "beta_from_tail" not in rep.constants
 
 
 # Inhomogeneous inequality ----------------------------------------------------

@@ -1,6 +1,10 @@
 """Every guarded public scalar parameter rejects NaN, +-inf and every finite
 value outside its domain with ``ValueError("<name> must lie in <interval>")``,
-and accepts a value inside it."""
+and accepts a value inside it.  Every other input guard rejects its bad
+input with a ``ValueError`` that names the fault."""
+
+import argparse
+import json
 
 import numpy as np
 import pytest
@@ -8,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tikrates as tk
+from tikrates._fitting import ls_line
+from tikrates.cli import _load_instance
 from tikrates.instances import derive_ivi_constants
 from tikrates.measures import (DiscreteMeasure, cs_measure_bound,
                                tail_integral_bound)
-from tikrates.rates import noisy_sweep_rows
+from tikrates.rates import _fit, noisy_sweep_rows
 
 C26 = tk.build("counter26", 20)
 OP, U, Y = C26.op, C26.u_dagger, C26.y
@@ -119,3 +125,66 @@ def test_guarded_parameter_domains(param, interval, call, inside, data):
         with pytest.raises(ValueError) as err:
             call(value)
         assert str(err.value) == f"{param} must lie in {interval}"
+
+
+M_NEG = DiscreteMeasure([0.5, 1.0], [0.1, -0.5])
+
+
+def _load(tmp_path, spec):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(spec))
+    return _load_instance(argparse.Namespace(instance=str(path), n=60, seed=0))
+
+
+# (call, taking a scratch directory, with a bad input; expected message)
+REJECTIONS = {
+    "ls_line-one-point": (lambda tmp: ls_line([1.0], [2.0]),
+                          "at least two points"),
+    "measure-unequal-lengths": (lambda tmp: DiscreteMeasure([1.0, 2.0], [1.0]),
+                                "equal length"),
+    "measure-non-finite-atom": (lambda tmp: DiscreteMeasure([1.0], [np.nan]),
+                                "atoms must be finite"),
+    "diagonal-negative": (
+        lambda tmp: tk.SpectralOperator.diagonal([1.0, -1.0]),
+        "finite and non-negative"),
+    "diagonal-non-finite": (
+        lambda tmp: tk.SpectralOperator.diagonal([1.0, np.inf]),
+        "finite and non-negative"),
+    "matrix-1d": (lambda tmp: tk.SpectralOperator.from_matrix([1.0, 2.0]),
+                  "two-dimensional"),
+    "matrix-non-finite": (
+        lambda tmp: tk.SpectralOperator.from_matrix([[1.0, np.nan]]),
+        "entries must be finite"),
+    "matrix-all-zero": (
+        lambda tmp: tk.SpectralOperator.from_matrix(np.zeros((3, 2))),
+        "identically zero"),
+    "ambient-wrong-length": (
+        lambda tmp: DENSE.op.data_from_ambient(np.ones(Y_AMB.size + 1)),
+        "does not match matrix rows"),
+    "cs-negative-diagonal-measure": (
+        lambda tmp: cs_measure_bound(M_NEG, M, M, 0.0, 3.0, 1.0),
+        "diagonal measures must be non-negative"),
+    "tail-negative-masses": (
+        lambda tmp: tail_integral_bound(M_NEG, 0.5, 1.5, 10.0, 1.0),
+        "measure must be non-negative"),
+    "noise-free-grid-below-floor": (
+        lambda tmp: tk.noise_free_rate(OP, Y, np.logspace(-30.0, -20.0, 9)),
+        "below the truncation floor"),
+    "infimum-empty-grid": (
+        lambda tmp: tk.infimum_rate(OP, Y, 1e-3, tk.NoiseModel(), []),
+        "non-empty"),
+    "fit-zero-errors": (lambda tmp: _fit([1.0, 2.0, 3.0, 4.0],
+                                         [1.0, 0.0, 1.0, 1.0], False),
+                        "errors vanish"),
+    "operator-file-without-y": (lambda tmp: _load(tmp, {"diagonal": [1.0]}),
+                                "must provide 'y'"),
+    "operator-file-without-operator": (lambda tmp: _load(tmp, {"y": [1.0]}),
+                                       "needs 'diagonal' or 'matrix'"),
+}
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS.values(),
+                         ids=REJECTIONS.keys())
+def test_input_guards_reject_with_their_message(call, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)

@@ -20,9 +20,9 @@ def geometric_op(n=60):
 def test_retained_singular_values_need_positive_finite_squares(bad):
     with pytest.raises(ValueError, match="positive finite squares"):
         tk.SpectralOperator(kind="diagonal", sigma=[1.0, bad], truncated=True,
-                            basis_note="", dropped=0)
+                            dropped=0)
     assert tk.SpectralOperator(kind="diagonal", sigma=[1.0, 1e-150],
-                               truncated=True, basis_note="", dropped=0).n == 2
+                               truncated=True, dropped=0).n == 2
 
 
 def test_apply_scales_first_basis_vector():
@@ -247,4 +247,3 @@ def test_diagonal_drops_zero_singular_values():
     op = tk.SpectralOperator.diagonal([1.0, 0.0, 0.5])
     assert op.n == 2
     assert op.dropped == 1
-    assert "dropped" in op.basis_note

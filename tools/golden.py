@@ -2,12 +2,16 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 100 files into OUTDIR: ``conformance --all``; ``lemmas --count
+Writes 107 files into OUTDIR: ``conformance --all``; ``lemmas --count
 2000``; ``check`` on every documented (instance, condition, parameter) at
 n = 60; the six deep ``check`` calls of the benchmark's ``certify_deep``
 workload (identity hvi, tail and ssc and harmonic4 tail at n = 10^5,
 identity svi and harmonic4 ivi at n = 10^4), where the random probes pass
-through several chunks per block; the eight harmonic4 n = 10^4 ``rates``
+through several chunks per block, and harmonic4 hvi at nu = 1 and
+n = 10^5, where the needed constant grows like ``sqrt(log n)``; two
+operator JSON files, a diagonal section and a rank-3 integer matrix with
+ambient data, each run through ``check --condition hvi --nu 0.5`` and
+``rates --mode noisy``; the eight harmonic4 n = 10^4 ``rates``
 calls of the benchmark's ``rate_sweeps`` workload at seed 1, with 100- to
 200-point fit windows and random noise at n = 10^4; and, on every named
 instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV and as CSV under
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -38,7 +43,19 @@ DEEP_CHECKS = (("identity", 100000, "hvi", "--nu", "0.5"),
                ("identity", 100000, "ssc", "--nu", "1.0"),
                ("harmonic4", 100000, "tail", "--nu", "1.0"),
                ("identity", 10000, "svi", "--nu", "1.0"),
-               ("harmonic4", 10000, "ivi", "--mu", "1.0"))
+               ("harmonic4", 10000, "ivi", "--mu", "1.0"),
+               ("harmonic4", 100000, "hvi", "--nu", "1.0"))
+# Operator files for the loader: a diagonal section, and a 6 x 5 integer
+# matrix of rank 3 (two null directions dropped) whose ambient data lies in
+# its range.
+OPERATOR_FILES = {
+    "op_diagonal": {"diagonal": [k ** -0.5 for k in range(1, 41)],
+                    "y": [k ** -1.5 for k in range(1, 41)]},
+    "op_matrix": {"matrix": [[2, 1, 1, 2, 3], [1, 2, 1, 3, 1],
+                             [1, 1, 2, 1, 2], [3, 1, 2, 2, 5],
+                             [1, 3, 2, 4, 1], [2, 2, 2, 3, 3]],
+                  "y": [8, 5, 7, 13, 7, 10]},
+}
 DEEP_RATES = (
     "noise-free --alpha-min 1e-3 --alpha-max 1e2 --alpha-points 200",
     "noise-free --alpha-min 2e-3 --alpha-max 1e3 --alpha-points 200",
@@ -67,6 +84,14 @@ def invocations(outdir: Path) -> list:
         runs.append(["check", "--instance", name, "--n", str(n),
                      "--condition", condition, flag, param,
                      "--output", str(out)])
+    for stem, spec in OPERATOR_FILES.items():
+        path = outdir / f"{stem}.json"
+        path.write_text(json.dumps(spec) + "\n")
+        runs.append(["check", "--instance", str(path), "--condition", "hvi",
+                     "--nu", "0.5", "--output",
+                     str(outdir / f"check_{stem}_hvi_0.5.json")])
+        runs.append(["rates", "--instance", str(path), "--mode", "noisy",
+                     "--output", str(outdir / f"rates_{stem}_noisy.json")])
     for k, sweep in enumerate(DEEP_RATES, 1):
         out = outdir / f"rates_harmonic4_n10000_{k}.json"
         runs.append(["rates", "--instance", "harmonic4", "--n", "10000",
