@@ -103,15 +103,16 @@ def _load_instance(args) -> NamedInstance:
 
 def _cmd_check(args) -> int:
     condition = CONDITION_ALIASES[args.condition]
-    flag = "mu" if condition == cond.IVI else "nu"
+    ivi = condition == cond.IVI
+    flag, unread = ("mu", ("nu",)) if ivi else ("nu", ("mu", "beta", "gamma"))
+    # a flag the condition does not read is refused, not ignored
+    if any(getattr(args, f) is not None for f in unread):
+        raise ValueError("--nu does not apply to ivi" if ivi else
+                         "--mu, --beta and --gamma apply only to ivi")
     param = getattr(args, flag)
     if param is None:
         raise ValueError(f"--{flag} is required for this condition")
-    consts = {"beta": args.beta, "gamma": args.gamma}
-    if condition != cond.IVI:
-        if consts != {"beta": None, "gamma": None}:
-            raise ValueError("--beta and --gamma apply only to ivi")
-        consts = {}
+    consts = {"beta": args.beta, "gamma": args.gamma} if ivi else {}
     inst = _load_instance(args)
     rep = CHECKS[condition](inst, param, args.seed, **consts)
     text = _dump_json(rep.to_json(), args.output, not args.no_timestamp)
@@ -203,7 +204,9 @@ def _cmd_conformance(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="tikrates", description=__doc__)
+    # exact option names only: a prefix could be taken for another option
+    top = argparse.ArgumentParser(prog="tikrates", description=__doc__,
+                                  allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
     instance = argparse.ArgumentParser(add_help=False)
@@ -218,7 +221,8 @@ def _parser() -> argparse.ArgumentParser:
                              "output")
     common = [instance, output]
 
-    p = sub.add_parser("check", parents=common, help="run one condition check")
+    p = sub.add_parser("check", parents=common, allow_abbrev=False,
+                       help="run one condition check")
     p.add_argument("--condition", required=True,
                    choices=sorted(CONDITION_ALIASES))
     p.add_argument("--nu", type=float, help="parameter for ssc/hvi/svi/tail")
@@ -226,7 +230,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="ivi constant (doubled form)")
     p.add_argument("--gamma", type=float, help="ivi constant")
 
-    p = sub.add_parser("rates", parents=common,
+    p = sub.add_parser("rates", parents=common, allow_abbrev=False,
                        help="empirical convergence-order sweeps")
     p.add_argument("--mode", required=True,
                    choices=("noise-free", "noisy", "infimum"))
@@ -246,11 +250,11 @@ def _parser() -> argparse.ArgumentParser:
                    help="noise level for the infimum mode")
     p.add_argument("--format", default="json", choices=("json", "csv"))
 
-    p = sub.add_parser("lemmas", parents=[output],
+    p = sub.add_parser("lemmas", parents=[output], allow_abbrev=False,
                        help="verify the measure inequalities in batch")
     p.add_argument("--count", type=int, default=10000)
 
-    p = sub.add_parser("conformance", parents=common,
+    p = sub.add_parser("conformance", parents=common, allow_abbrev=False,
                        help="compare computed verdicts with documented ones")
     p.add_argument("--all", action="store_true", help="run every named instance")
     return top

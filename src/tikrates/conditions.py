@@ -38,6 +38,7 @@ does exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -160,6 +161,7 @@ def ivi_from_hvi_report(report: ConditionReport) -> tuple[float, float, float]:
 # Probe families ------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class _Family:
     """Component arrays of one probe family, indexed by a deterministic
     integer sequence (basis index, head length, window start, ...).
@@ -168,23 +170,21 @@ class _Family:
     ``pnm`` the norm after the rho-power of the normal operator.
     """
 
-    __slots__ = ("label", "index", "ip", "nrm", "pnm", "ordered")
-
-    def __init__(self, label, index, ip, nrm, pnm, ordered):
-        self.label = label
-        self.index = np.asarray(index)
-        self.ip = np.asarray(ip, dtype=float)
-        self.nrm = np.asarray(nrm, dtype=float)
-        self.pnm = np.asarray(pnm, dtype=float)
-        self.ordered = ordered
+    label: str
+    index: np.ndarray
+    ip: np.ndarray
+    nrm: np.ndarray
+    pnm: np.ndarray
+    ordered: bool
 
 
-def _cum_family(label, weights, d, wpow, m_index) -> _Family:
-    """Family of truncated weighted sums u_m = sum_{n <= m} w_n phi_n."""
-    ip = np.cumsum(d * weights)
-    nrm = np.sqrt(np.cumsum(weights ** 2))
-    pnm = np.sqrt(np.cumsum(wpow * weights ** 2))
-    return _Family(label, m_index, ip, nrm, pnm, ordered=True)
+def _sum_family(label, index, d, w, wpow, total) -> _Family:
+    """Weighted sums ``sum w_n phi_n`` over the prefixes, suffixes or sliding
+    windows that ``total`` sums an array over: pairing ``total(d w)``, norm
+    ``sqrt(total(w**2))``, rho-power norm ``sqrt(total(wpow w**2))``."""
+    sq = w ** 2
+    return _Family(label, index, total(d * w), np.sqrt(total(sq)),
+                   np.sqrt(total(wpow * sq)), ordered=True)
 
 
 # Inverse weights of deep spectra overflow; the probe scans zero every
@@ -217,27 +217,23 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
 
     fams = [
         _Family("basis", m_index, d, np.ones(n), sig ** rho, ordered=True),
-        _cum_family("head", d, d, wpow, m_index),
-        _cum_family("head_flat", np.sign(d), d, wpow, m_index),
+        _sum_family("head", m_index, d, d, wpow, np.cumsum),
+        _sum_family("head_flat", m_index, d, np.sign(d), wpow, np.cumsum),
     ]
     w_inv = d / sig ** rho
     if np.all(np.isfinite(w_inv)):
-        fams.append(_cum_family("head_inv_weight", w_inv, d, wpow, m_index))
+        fams.append(_sum_family("head_inv_weight", m_index, d, w_inv, wpow,
+                                np.cumsum))
         for width in (4, 8, 16):
             if n > width:
-                sq = w_inv ** 2
-                ip = _window_sums(d * w_inv, width)
-                nrm = np.sqrt(_window_sums(sq, width))
-                pnm = np.sqrt(_window_sums(wpow * sq, width))
-                fams.append(_Family(f"window{width}_inv_weight",
-                                    np.arange(1, n - width + 2),
-                                    ip, nrm, pnm, ordered=True))
-    fams.append(_cum_family("head_fwd_weight", d * sig ** rho, d, wpow, m_index))
+                fams.append(_sum_family(
+                    f"window{width}_inv_weight", np.arange(1, n - width + 2),
+                    d, w_inv, wpow, partial(_window_sums, width=width)))
+    fams.append(_sum_family("head_fwd_weight", m_index, d, d * sig ** rho,
+                            wpow, np.cumsum))
     # suffix copies of the solution
-    ip = np.cumsum((d * d)[::-1])[::-1]
-    nrm = np.sqrt(ip)
-    pnm = np.sqrt(np.cumsum((wpow * d * d)[::-1])[::-1])
-    fams.append(_Family("tail", m_index, ip, nrm, pnm, ordered=True))
+    fams.append(_sum_family("tail", m_index, d, d, wpow,
+                            lambda v: np.cumsum(v[::-1])[::-1]))
 
     rng = np.random.default_rng(seed)
     ip, nrm, pnm = (np.empty(RANDOM_PROBES) for _ in range(3))
@@ -548,15 +544,14 @@ def _pairing_ratios(fam, expo):
     return np.where(np.isfinite(ratios), ratios, 0.0)
 
 
-def _check_pairing_vi(op, u_dagger, nu, rho, condition, seed):
-    _require_same_frame(u_dagger.frame, op.domain)
+def _check_pairing_vi(op, u_dagger, nu, rho, condition, fams):
+    """Pairing-form check on the probe families ``fams`` built at ``rho``."""
     d = u_dagger.coeffs
     n = op.n
     if not np.any(d):
         return ConditionReport(condition, nu, CERTIFIED,
                                {"beta": 0.0, "beta_lower": 0.0}, [], n)
 
-    fams = probe_families(op, u_dagger, rho, seed=seed)
     beta_lower, fam, k, ratios, slope = _worst_probe(
         fams, lambda f: _pairing_ratios(f, nu / rho), op.truncated)
     if slope is not None:
@@ -624,7 +619,8 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
     ``beta_lower`` is the largest ratio observed on the probe families.
     """
     nu = in_interval("nu", nu, "(0, 1]")
-    return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI, seed)
+    return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI,
+                             probe_families(op, u_dagger, 1.0, seed=seed))
 
 
 def check_svi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
@@ -633,7 +629,8 @@ def check_svi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
     same conventions as :func:`check_hvi` with the normal operator in place
     of the forward map."""
     nu = in_interval("nu", nu, "(0, 2]")
-    return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI, seed)
+    return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI,
+                             probe_families(op, u_dagger, 2.0, seed=seed))
 
 
 # Inhomogeneous variational inequality ---------------------------------------
@@ -663,25 +660,37 @@ def _needed_beta(fam, mu, gamma):
 
 
 def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
-              beta: float, gamma: float, *, seed: int = 0) -> ConditionReport:
-    """Verify supplied inhomogeneous-inequality constants ``(beta, gamma)``
-    in the doubled convention at parameter ``mu``.
+              beta: float | None = None, gamma: float | None = None, *,
+              seed: int = 0) -> ConditionReport:
+    """Verify inhomogeneous-inequality constants ``(beta, gamma)`` in the
+    doubled convention at parameter ``mu``.  A constant left ``None`` is
+    derived through the certificate chain on the same probe families: the
+    homogeneous check at ``nu = mu / (2 - mu)`` through
+    :func:`ivi_from_hvi_report` when it certifies, else ``beta = 4 (1 +
+    ||u+||)`` with ``gamma = 0`` at ``mu = 1`` and ``1/2`` below.
 
     Every probe is swept over all positive scales (in closed form; the
     inequality is not scale-invariant).  The verdict is ``RefutedAtN`` when
-    some probe needs a larger beta than supplied, or when the needed beta
-    diverges along an ordered family, defeating every constant.
+    some probe needs a larger beta than the constants give, or when the
+    needed beta diverges along an ordered family, defeating every constant.
     """
     mu = in_interval("mu", mu, "(0, 1]")
+    fams = probe_families(op, u_dagger, 1.0, seed=seed)
+    if beta is None or gamma is None:
+        hvi = _check_pairing_vi(op, u_dagger, mu / (2.0 - mu), 1.0, HVI, fams)
+        if hvi.verdict == CERTIFIED:
+            derived = ivi_from_hvi_report(hvi)[1:]
+        else:
+            derived = 4.0 * (1.0 + u_dagger.norm()), 0.0 if mu == 1.0 else 0.5
+        beta = derived[0] if beta is None else beta
+        gamma = derived[1] if gamma is None else gamma
     beta = in_interval("beta", beta, "[0, inf)")
     gamma = in_interval("gamma", gamma, "[0, 1)")
-    _require_same_frame(u_dagger.frame, op.domain)
     n = op.n
     if not np.any(u_dagger.coeffs):
         return ConditionReport(IVI, mu, CERTIFIED,
                                {"beta": beta, "gamma": gamma}, [], n)
 
-    fams = probe_families(op, u_dagger, 1.0, seed=seed)
     worst_need, fam, k, need, slope = _worst_probe(
         fams, lambda f: _needed_beta(f, mu, gamma), op.truncated)
     if slope is not None:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditions as cond
-from ._domain import in_interval
 from .operators import CoeffVector, SpectralOperator
 
 INSTANCE_NAMES = ("counter26", "harmonic4", "remark_nu_gap", "identity",
@@ -123,29 +122,15 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
 
 def derive_ivi_constants(inst: NamedInstance, mu: float, *,
                          seed: int = 0) -> tuple[float, float]:
-    """Constants for an inhomogeneous check, derived through the certificate
-    chain when available and falling back to fixed generic values."""
-    mu = in_interval("mu", mu, "(0, 1]")
-    nu = mu / (2.0 - mu)
-    rep = cond.check_hvi(inst.op, inst.u_dagger, nu, seed=seed)
-    if rep.verdict == cond.CERTIFIED:
-        _, beta, gamma = cond.ivi_from_hvi_report(rep)
-        return beta, gamma
-    return 4.0 * (1.0 + inst.u_dagger.norm()), 0.0 if mu == 1.0 else 0.5
-
-
-def _check_ivi(inst: NamedInstance, mu: float, seed: int, beta=None,
-               gamma=None):
-    if beta is None or gamma is None:
-        dbeta, dgamma = derive_ivi_constants(inst, mu, seed=seed)
-        beta = dbeta if beta is None else beta
-        gamma = dgamma if gamma is None else gamma
-    return cond.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma, seed=seed)
+    """Constants for an inhomogeneous check, as :func:`conditions.check_ivi`
+    derives them through the certificate chain."""
+    rep = cond.check_ivi(inst.op, inst.u_dagger, mu, seed=seed)
+    return rep.constants["beta"], rep.constants["gamma"]
 
 
 #: Condition name -> check call ``(inst, param, seed)``.  Only the ivi call
-#: also takes ``beta`` and ``gamma``; it derives the missing ones through
-#: :func:`derive_ivi_constants`.
+#: also takes ``beta`` and ``gamma``; :func:`conditions.check_ivi` derives
+#: the ones left ``None``.
 CHECKS = {
     cond.STANDARD_SC: lambda inst, nu, seed:
         cond.check_standard_sc(inst.op, inst.u_dagger, nu),
@@ -155,7 +140,8 @@ CHECKS = {
         cond.check_svi(inst.op, inst.u_dagger, nu, seed=seed),
     cond.SPECTRAL_TAIL: lambda inst, nu, seed:
         cond.check_spectral_tail(inst.op, inst.u_dagger, nu),
-    cond.IVI: _check_ivi,
+    cond.IVI: lambda inst, mu, seed, beta=None, gamma=None:
+        cond.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma, seed=seed),
 }
 
 

@@ -164,11 +164,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 @pytest.mark.parametrize("condition, flag", [("hvi", "--beta"),
                                              ("ssc", "--gamma"),
                                              ("svi", "--beta"),
-                                             ("tail", "--gamma")])
+                                             ("tail", "--gamma"),
+                                             ("hvi", "--mu"),
+                                             ("ivi", "--nu")])
 def test_check_refuses_constants_only_ivi_reads(condition, flag, capsys):
+    # a flag the condition does not read exits 2 rather than be ignored
+    param = "--mu" if condition == "ivi" else "--nu"
     assert main(["check", "--instance", "counter26", "--condition", condition,
-                 "--nu", "0.5", flag, "0.3"]) == 2
-    assert "apply only to ivi" in capsys.readouterr().err
+                 param, "0.5", flag, "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert ("does not apply to ivi" if condition == "ivi"
+            else "apply only to ivi") in err
 
 
 @pytest.mark.parametrize("option", [["--n", "100"],
@@ -176,6 +183,17 @@ def test_check_refuses_constants_only_ivi_reads(condition, flag, capsys):
 def test_lemmas_takes_no_instance_options(option):
     with pytest.raises(SystemExit) as err:
         main(["lemmas", "--count", "10", *option])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--count", "10", "--n"],
+    ["check", "--inst", "counter26", "--cond", "hvi", "--nu", "0.5", "--no-t"],
+])
+def test_abbreviated_options_are_refused(argv):
+    # a prefix is not taken for the option it abbreviates
+    with pytest.raises(SystemExit) as err:
+        main(argv)
     assert err.value.code == 2
 
 

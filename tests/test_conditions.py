@@ -268,6 +268,69 @@ def test_ivi_parameter_validation():
         tk.check_ivi(inst.op, inst.u_dagger, 0.5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["harmonic4", "identity"])
+def test_ivi_with_derived_constants_builds_the_probe_families_once(
+        name, monkeypatch):
+    inst = tk.build(name, 60)
+    calls = []
+    build_families = cond.probe_families
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_families(*args, **kwargs)
+
+    monkeypatch.setattr(cond, "probe_families", counted)
+    rep = CHECKS[tk.IVI](inst, 1.0, 0)
+    assert len(calls) == 1
+    assert rep.verdict == inst.expected[(tk.IVI, 1.0)]
+
+
+def _chain_cases():
+    rd = tk.build("random_diag", 60)
+    (nu0,) = [p for c, p in rd.expected if c == tk.HVI]
+    return [("counter26", 2.0 / 3.0), ("identity", 2.0 / 3.0),
+            ("identity", 1.0), ("random_diag", 2.0 * nu0 / (1.0 + nu0))]
+
+
+@pytest.mark.parametrize("name, mu", _chain_cases())
+def test_ivi_derives_the_constants_of_the_certificate_chain(name, mu):
+    inst = tk.build(name, 60)
+    hvi = tk.check_hvi(inst.op, inst.u_dagger, mu / (2.0 - mu))
+    assert hvi.verdict == tk.CERTIFIED
+    _, beta, gamma = tk.ivi_from_hvi_report(hvi)
+    rep = tk.check_ivi(inst.op, inst.u_dagger, mu)
+    assert (rep.constants["beta"], rep.constants["gamma"]) == (beta, gamma)
+    assert rep.verdict == tk.CERTIFIED
+
+
+def test_ivi_falls_back_to_generic_constants_without_a_chain():
+    inst = tk.build("harmonic4", 60)
+    assert tk.check_hvi(inst.op, inst.u_dagger, 1.0).verdict != tk.CERTIFIED
+    rep = tk.check_ivi(inst.op, inst.u_dagger, 1.0)
+    assert rep.constants["beta"] == 4.0 * (1.0 + inst.u_dagger.norm())
+    assert rep.constants["gamma"] == 0.0
+    assert rep.verdict == tk.REFUTED_AT_N
+
+
+@pytest.mark.parametrize("name, mu, given", [
+    ("identity", 1.0, {"gamma": 0.25}),
+    ("counter26", 2.0 / 3.0, {"beta": 5.0}),
+    ("harmonic4", 1.0, {"beta": 14.0}),
+    ("harmonic4", 0.5, {"gamma": 0.1}),
+])
+def test_ivi_keeps_a_supplied_constant_and_derives_the_other(name, mu, given):
+    inst = tk.build(name, 60)
+    hvi = tk.check_hvi(inst.op, inst.u_dagger, mu / (2.0 - mu))
+    if hvi.verdict == tk.CERTIFIED:
+        _, beta, gamma = tk.ivi_from_hvi_report(hvi)
+    else:
+        beta = 4.0 * (1.0 + inst.u_dagger.norm())
+        gamma = 0.0 if mu == 1.0 else 0.5
+    rep = tk.check_ivi(inst.op, inst.u_dagger, mu, **given)
+    want = {"beta": beta, "gamma": gamma, **given}
+    assert {k: rep.constants[k] for k in want} == want
+
+
 # Spectral tail ---------------------------------------------------------------
 
 def test_tail_geometric_instance_constant_is_sqrt2():

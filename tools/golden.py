@@ -2,7 +2,7 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 107 files into OUTDIR: ``conformance --all``; ``lemmas --count
+Writes 109 files into OUTDIR: ``conformance --all``; ``lemmas --count
 2000``; ``check`` on every documented (instance, condition, parameter) at
 n = 60; the six deep ``check`` calls of the benchmark's ``certify_deep``
 workload (identity hvi, tail and ssc and harmonic4 tail at n = 10^5,
@@ -11,7 +11,9 @@ through several chunks per block, and harmonic4 hvi at nu = 1 and
 n = 10^5, where the needed constant grows like ``sqrt(log n)``; two
 operator JSON files, a diagonal section and a rank-3 integer matrix with
 ambient data, each run through ``check --condition hvi --nu 0.5`` and
-``rates --mode noisy``; the eight harmonic4 n = 10^4 ``rates``
+``rates --mode noisy``; ``check --condition ivi --mu 1.0`` with one
+constant supplied and the other derived, on identity with ``--gamma 0.25``
+and on harmonic4 with ``--beta 14``; the eight harmonic4 n = 10^4 ``rates``
 calls of the benchmark's ``rate_sweeps`` workload at seed 1, with 100- to
 200-point fit windows and random noise at n = 10^4; and, on every named
 instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV and as CSV under
@@ -65,6 +67,9 @@ DEEP_RATES = (
     "infimum --alpha-points 200",
     "infimum --noise random --alpha-points 100",
     "infimum --noise random --alpha-points 200 --delta 1e-3")
+# ivi checks with one constant supplied and the other derived
+ONE_CONSTANT_IVI = (("identity", "--gamma", "0.25"),
+                    ("harmonic4", "--beta", "14"))
 
 
 def invocations(outdir: Path) -> list:
@@ -92,6 +97,11 @@ def invocations(outdir: Path) -> list:
                      str(outdir / f"check_{stem}_hvi_0.5.json")])
         runs.append(["rates", "--instance", str(path), "--mode", "noisy",
                      "--output", str(outdir / f"rates_{stem}_noisy.json")])
+    for name, flag, value in ONE_CONSTANT_IVI:
+        out = outdir / f"check_{name}_ivi_{flag[2:]}{value}.json"
+        runs.append(["check", "--instance", name, "--n", str(N),
+                     "--condition", "ivi", "--mu", "1.0", flag, value,
+                     "--output", str(out)])
     for k, sweep in enumerate(DEEP_RATES, 1):
         out = outdir / f"rates_harmonic4_n10000_{k}.json"
         runs.append(["rates", "--instance", "harmonic4", "--n", "10000",
