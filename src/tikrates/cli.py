@@ -27,6 +27,7 @@ import numpy as np
 
 from . import conditions as cond
 from . import suites
+from ._domain import in_interval
 from .instances import CHECKS, INSTANCE_NAMES, NamedInstance, build, \
     run_battery
 from .operators import SpectralOperator
@@ -92,13 +93,10 @@ def _load_instance(args) -> NamedInstance:
         op = SpectralOperator.from_matrix(spec["matrix"])
     else:
         raise ValueError("operator file needs 'diagonal' or 'matrix'")
-    y = np.asarray(spec["y"], dtype=float)
-    if op.kind == "dense" and y.size == op.matrix.shape[0] != op.n:
-        yvec, _ = op.data_from_ambient(y)
-    else:
-        yvec = op.data_vector(y)
-    return NamedInstance(name=path.stem, op=op, y=yvec,
-                         u_dagger=min_norm_solution(op, y), expected={})
+    u_dagger = min_norm_solution(op, spec["y"])
+    return NamedInstance(name=path.stem, op=op,
+                         y=op.data_from_ambient(spec["y"])[0],
+                         u_dagger=u_dagger, expected={})
 
 
 def _cmd_check(args) -> int:
@@ -120,8 +118,11 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _grid(lo, hi, points):
-    return np.logspace(np.log10(lo), np.log10(hi), points)
+def _grid(args, name: str):
+    lo, hi = (in_interval(f"--{name}-{end}", getattr(args, f"{name}_{end}"),
+                          "(0, inf)") for end in ("min", "max"))
+    return np.logspace(np.log10(lo), np.log10(hi),
+                       getattr(args, f"{name}_points"))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -132,17 +133,17 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _cmd_rates(args) -> int:
+    if args.format == "csv" and not args.output:
+        raise ValueError("--format csv needs --output")
     inst = _load_instance(args)
     noise = NoiseModel(kind=NOISE_ALIASES[args.noise], seed=args.seed)
     if args.mode == "noise-free":
-        fit = noise_free_rate(inst.op, inst.y,
-                              _grid(args.alpha_min, args.alpha_max,
-                                    args.alpha_points))
+        fit = noise_free_rate(inst.op, inst.y, _grid(args, "alpha"))
         rows = [(x, e, x, 0) for x, e in fit.grid]
         payload = {"mode": args.mode, "instance": inst.name,
                    "fit": fit.to_json()}
     elif args.mode == "noisy":
-        deltas = _grid(args.delta_min, args.delta_max, args.delta_points)
+        deltas = _grid(args, "delta")
         fit = noisy_rate(inst.op, inst.y, deltas, args.mu, noise, args.trials)
         rows = noisy_sweep_rows(inst.op, inst.y, deltas, args.mu, noise,
                                 args.trials)
@@ -150,12 +151,11 @@ def _cmd_rates(args) -> int:
                    "noise": noise.kind, "fit": fit.to_json()}
     else:  # infimum
         value = infimum_rate(inst.op, inst.y, args.delta, noise,
-                             _grid(args.alpha_min, args.alpha_max,
-                                   args.alpha_points), args.trials)
+                             _grid(args, "alpha"), args.trials)
         rows = [(args.delta, value, float("nan"), 0)]
         payload = {"mode": args.mode, "instance": inst.name,
                    "delta": args.delta, "value": value, "noise": noise.kind}
-    if args.output and args.format == "csv":
+    if args.format == "csv":
         _write_csv(args.output, ("x", "error", "alpha_used",
                                  "trial_witness_index"), rows)
         print(_dump_json(payload, None, not args.no_timestamp))

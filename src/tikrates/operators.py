@@ -242,20 +242,27 @@ class SpectralOperator:
         arr[index] = 1.0
         return CoeffVector(arr, self.domain)
 
-    # Ambient interface (dense only) ------------------------------------------
+    # Ambient interface -------------------------------------------------------
 
     def _require_dense(self):
         if self.kind != "dense":
             raise ValueError("operation requires a dense operator")
 
     def data_from_ambient(self, y_ambient) -> tuple[CoeffVector, float]:
-        """Project an ambient data vector onto the retained left singular basis.
-
-        Returns the coefficient vector together with the norm of the component
-        orthogonal to the retained range.
+        """Read a raw data array, which is always ambient data: one entry
+        per matrix row of a dense operator, projected onto the retained left
+        singular basis, or one per retained singular value of a diagonal
+        operator, taken as the coefficients.  Returns the data-side vector
+        and the norm of the component off the retained range (0 for a
+        diagonal operator).  Coefficients are handed over directly only as
+        a :class:`CoeffVector` from :meth:`data_vector`.
         """
-        self._require_dense()
         y = np.asarray(y_ambient, dtype=float).reshape(-1)
+        if self.kind == "diagonal":
+            if y.shape[0] != self.n:
+                raise ValueError("ambient data length does not match the "
+                                 "retained singular values")
+            return CoeffVector(y, self.data), 0.0
         if y.shape[0] != self.matrix.shape[0]:
             raise ValueError("ambient data length does not match matrix rows")
         coeffs = self._u_range.T @ y

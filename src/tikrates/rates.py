@@ -59,13 +59,23 @@ class NoiseModel:
         if self.kind not in (WORST_CASE_BASIS, RANDOM_SPHERE, IN_RANGE):
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
-    def directions(self, op: SpectralOperator, trials: int) -> np.ndarray:
-        """Unit-norm perturbation directions of the random kinds, one per
-        row; worst-case noise draws none, its error has a closed form."""
+    def directions(self, op: SpectralOperator,
+                   trials: int | None = None) -> np.ndarray | None:
+        """The unit-norm noise directions, one per row, that one sweep shares
+        over every noise level and alpha: None for worst-case noise, whose
+        error has a closed form, else ``trials`` seeded directions,
+        ``RANDOM_TRIALS`` by default; worst-case noise takes no ``trials``."""
+        if trials is not None and trials < 1:
+            raise ValueError("trials must be at least 1")
         if self.kind == WORST_CASE_BASIS:
-            raise ValueError("worst-case noise draws no directions")
+            if trials is not None:
+                raise ValueError("trials applies to random and in-range "
+                                 "noise; worst-case noise probes every basis "
+                                 "direction once")
+            return None
         rng = np.random.default_rng(self.seed)
-        x = rng.standard_normal((trials, op.n))
+        x = rng.standard_normal((RANDOM_TRIALS if trials is None else trials,
+                                 op.n))
         if self.kind == IN_RANGE:
             x = x * op.sigma
         return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -150,27 +160,11 @@ def noise_free_rate(op: SpectralOperator, y, alpha_grid) -> RateFit:
     return _fit(alphas, errors, clipped)
 
 
-def _noise_directions(op, noise: NoiseModel, trials: int | None):
-    """The noise directions one sweep shares over every noise level and
-    alpha: None for worst-case noise, whose error has a closed form, else
-    ``trials`` seeded directions, ``RANDOM_TRIALS`` by default; worst-case
-    noise takes no ``trials``."""
-    if trials is not None and trials < 1:
-        raise ValueError("trials must be at least 1")
-    if noise.kind == WORST_CASE_BASIS:
-        if trials is not None:
-            raise ValueError("trials applies to random and in-range noise; "
-                             "worst-case noise probes every basis direction "
-                             "once")
-        return None
-    return noise.directions(op, RANDOM_TRIALS if trials is None else trials)
-
-
 def _family_errors(op, u_dag: CoeffVector, delta, alphas,
                    dirs: np.ndarray | None) -> np.ndarray:
     """Error for every (alpha, noise direction) pair, one row per alpha.
 
-    ``dirs`` comes from ``_noise_directions``.  Worst-case basis noise
+    ``dirs`` comes from :meth:`NoiseModel.directions`.  Worst-case basis noise
     (``dirs`` None) moves the data by ``+-delta`` along each basis direction
     with the sign that aligns with the bias; at ``delta = 0`` every
     direction leaves just the bias, so each row has a single column.
@@ -208,7 +202,7 @@ def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
     mu = in_interval("mu", mu, "(0, 1]")
     deltas = _check_grid(delta_grid, 3.0, "delta")
     u_dag = min_norm_solution(op, y)
-    dirs = _noise_directions(op, noise, trials)
+    dirs = noise.directions(op, trials)
     rows = []
     for delta in deltas:
         alpha = delta ** (2.0 - mu)
@@ -242,7 +236,7 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
         raise DegenerateGridError(
             "alpha grid must be positive, finite and non-empty")
     errs = _family_errors(op, min_norm_solution(op, y), delta, alphas,
-                          _noise_directions(op, noise, trials))
+                          noise.directions(op, trials))
     return float(errs.min(axis=0).max())
 
 
@@ -267,11 +261,8 @@ def q_projection_equivalence(op: SpectralOperator, y,
     A perturbation with an in-range component yields ``equivalent=False``
     together with the observed solution difference.
     """
-    op._require_dense()
     y = np.asarray(y, dtype=float).reshape(-1)
     e = np.asarray(e_offrange, dtype=float).reshape(-1)
-    if y.shape[0] != op.matrix.shape[0] or e.shape[0] != y.shape[0]:
-        raise ValueError("ambient vectors must match the matrix rows")
     _, off = op.data_from_ambient(e)
     in_range = float(np.sqrt(max(e @ e - off ** 2, 0.0)))
     max_diff = 0.0

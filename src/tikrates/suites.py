@@ -20,6 +20,8 @@ SPLIT_MAX_MASS = 4
 def cs_bound_suite(count: int = 10000, seed: int = 0) -> dict:
     """Random (operator, v, w, rho, window) instances of the Cauchy-Schwarz
     measure bound.  Returns counters and the worst signed margin rhs - lhs."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     violations = 0
     worst = np.inf
@@ -55,6 +57,8 @@ def tail_bound_suite(count: int = 2000, seed: int = 0) -> dict:
     instances drawn with an arbitrary constant that fails the premise are
     counted separately as rejected.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     checked = rejected = violations = 0
     worst_ratio = np.inf

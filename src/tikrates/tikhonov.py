@@ -75,21 +75,17 @@ class ErrorBoundReport:
 
 
 def _as_data_coeffs(op: SpectralOperator, y) -> tuple[np.ndarray, float]:
-    """Coerce data to retained-coordinate coefficients.
+    """Data coefficients of ``y`` and the norm of its off-range component.
 
-    Accepts a CoeffVector in the data frame, or for dense operators an
-    ambient array whose off-range component is returned alongside.
+    A CoeffVector must be in the data frame and is used as it is; anything
+    else is a raw data array, which
+    :meth:`SpectralOperator.data_from_ambient` reads as ambient data.
     """
     if isinstance(y, CoeffVector):
         _require_same_frame(y.frame, op.data)
         return y.coeffs, 0.0
-    arr = np.asarray(y, dtype=float).reshape(-1)
-    if op.kind == "dense" and arr.shape[0] == op.matrix.shape[0] != op.n:
-        vec, off = op.data_from_ambient(arr)
-        return vec.coeffs, off
-    if arr.shape[0] != op.n:
-        raise ValueError("data length does not match the operator")
-    return arr, 0.0
+    vec, off = op.data_from_ambient(y)
+    return vec.coeffs, off
 
 
 def min_norm_solution(op: SpectralOperator, y) -> CoeffVector:

@@ -1,12 +1,13 @@
 """Command-line interface tests, run in-process through main()."""
 
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from tikrates.cli import main
+from tikrates.cli import _load_instance, main
 
 
 def run(tmp_path, *argv):
@@ -135,6 +136,19 @@ def test_operator_file_matrix(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "Certified"
 
 
+def test_operator_file_square_matrix_reads_y_as_ambient_data(tmp_path):
+    # three rows and rank three: y is ambient data, not coefficients
+    mat = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    y = np.array([1.0, -2.0, 3.0])
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"matrix": mat.tolist(), "y": y.tolist()}))
+    inst = _load_instance(argparse.Namespace(instance=str(path), n=60, seed=0))
+    np.testing.assert_allclose(inst.op.ambient_from_domain(inst.u_dagger),
+                               np.linalg.solve(mat, y), rtol=1e-12)
+    np.testing.assert_allclose(inst.op.ambient_from_data(inst.y), y,
+                               rtol=1e-12)
+
+
 def test_operator_file_off_range_data_exits_two(tmp_path, capsys):
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((5, 3))
@@ -156,6 +170,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
                  "--nu", "0.5", "--n", "4"]) == 2
     assert main(["check", "--instance", str(tmp_path / "missing.json"),
                  "--condition", "hvi", "--nu", "0.5"]) == 2
+    assert main(["lemmas", "--count", "0"]) == 2
     with pytest.raises(SystemExit) as err:
         main(["check", "--condition", "bogus"])
     assert err.value.code == 2
@@ -220,3 +235,22 @@ def test_non_finite_or_out_of_domain_parameter_exits_two(condition, flag, value,
     assert main(["check", "--instance", "counter26", "--condition", condition,
                  f"{flag}={value}"]) == 2
     assert f"{flag[2:]} must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "noise-free", "--alpha-min", "0"],
+     "--alpha-min must lie in (0, inf)"),
+    (["--mode", "infimum", "--alpha-max", "-1"],
+     "--alpha-max must lie in (0, inf)"),
+    (["--mode", "noisy", "--delta-min", "-1"],
+     "--delta-min must lie in (0, inf)"),
+    (["--mode", "noisy", "--delta-max", "0"],
+     "--delta-max must lie in (0, inf)"),
+    (["--mode", "noisy", "--format", "csv"], "--format csv needs --output"),
+])
+def test_rates_refuses_unusable_grid_or_format(argv, message, capfd):
+    assert main(["rates", "--instance", "counter26", *argv]) == 2
+    captured = capfd.readouterr()
+    assert message in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert captured.out == ""

@@ -18,6 +18,7 @@ from tikrates.instances import derive_ivi_constants
 from tikrates.measures import (DiscreteMeasure, cs_measure_bound,
                                tail_integral_bound)
 from tikrates.rates import _fit, noisy_sweep_rows
+from tikrates.suites import cs_bound_suite, tail_bound_suite
 
 C26 = tk.build("counter26", 20)
 OP, U, Y = C26.op, C26.u_dagger, C26.y
@@ -161,6 +162,14 @@ REJECTIONS = {
     "ambient-wrong-length": (
         lambda tmp: DENSE.op.data_from_ambient(np.ones(Y_AMB.size + 1)),
         "does not match matrix rows"),
+    "q-projection-wrong-length-e": (
+        lambda tmp: tk.q_projection_equivalence(DENSE.op, Y_AMB,
+                                                np.zeros(Y_AMB.size - 1)),
+        "does not match matrix rows"),
+    "q-projection-wrong-length-y": (
+        lambda tmp: tk.q_projection_equivalence(DENSE.op, Y_AMB[:-1],
+                                                np.zeros(Y_AMB.size)),
+        "expected ambient data for the dense path"),
     "cs-negative-diagonal-measure": (
         lambda tmp: cs_measure_bound(M_NEG, M, M, 0.0, 3.0, 1.0),
         "diagonal measures must be non-negative"),
@@ -173,6 +182,10 @@ REJECTIONS = {
     "infimum-empty-grid": (
         lambda tmp: tk.infimum_rate(OP, Y, 1e-3, tk.NoiseModel(), []),
         "non-empty"),
+    "cs-bound-suite-empty": (lambda tmp: cs_bound_suite(0),
+                             "count must be at least 1"),
+    "tail-bound-suite-empty": (lambda tmp: tail_bound_suite(0),
+                               "count must be at least 1"),
     "fit-zero-errors": (lambda tmp: _fit([1.0, 2.0, 3.0, 4.0],
                                          [1.0, 0.0, 1.0, 1.0], False),
                         "errors vanish"),

@@ -119,7 +119,7 @@ def _counting_directions(monkeypatch):
     calls = []
     draw = NoiseModel.directions
 
-    def counted(self, op, trials):
+    def counted(self, op, trials=None):
         calls.append(trials)
         return draw(self, op, trials)
 
@@ -148,7 +148,7 @@ def test_each_sweep_draws_its_noise_directions_once(monkeypatch):
     worst = NoiseModel(kind=tk.WORST_CASE_BASIS)
     noisy_sweep_rows(inst.op, inst.y, deltas, 0.5, worst)
     infimum_rate(inst.op, inst.y, 1e-3, worst, np.logspace(-9, -2, 20))
-    assert calls == [6, 6]
+    assert calls == [6, 6, None, None]
 
 
 def test_noise_model_rejects_unknown_kind():
@@ -158,8 +158,10 @@ def test_noise_model_rejects_unknown_kind():
 
 def test_noise_directions_have_exact_unit_norm():
     inst = tk.build("counter26", 40)
-    with pytest.raises(ValueError, match="worst-case noise draws no"):
-        NoiseModel(kind=tk.WORST_CASE_BASIS).directions(inst.op, 16)
+    worst = NoiseModel(kind=tk.WORST_CASE_BASIS)
+    assert worst.directions(inst.op) is None
+    with pytest.raises(ValueError, match="trials applies to random"):
+        worst.directions(inst.op, 16)
     for kind in (tk.RANDOM_SPHERE, tk.IN_RANGE):
         dirs = NoiseModel(kind=kind, seed=3).directions(inst.op, 16)
         assert dirs.shape == (16, 40)

@@ -138,19 +138,37 @@ def test_solve_monotonicity_in_alpha():
     assert np.all(np.diff(norms) <= 1e-15)
 
 
+# tall, square and wide matrices: on the square and wide ones the row count
+# equals the retained rank, and raw data must still be read as ambient data
+EXTRA_ROWS = (2, 0, -2)
+
+
 def test_filter_path_matches_normal_equations_dense():
     rng = np.random.default_rng(21)
-    for seed in range(5):
+    for extra in EXTRA_ROWS:
+        for seed in range(5):
+            n = int(rng.integers(4, 32))
+            mat = rng.standard_normal((n + extra, n))
+            op = tk.SpectralOperator.from_matrix(mat)
+            y_ambient = mat @ rng.standard_normal(n)
+            alpha = 10.0 ** rng.uniform(-4, 0)
+            u_filter = solve(op, y_ambient, alpha).solution
+            u_normal = solve_normal_equations(op, y_ambient, alpha)
+            np.testing.assert_allclose(u_filter.coeffs, u_normal.coeffs,
+                                       rtol=1e-10, atol=1e-12)
+
+
+def test_min_norm_solution_of_raw_data_is_the_pseudoinverse_solution():
+    rng = np.random.default_rng(22)
+    for extra in EXTRA_ROWS:
         n = int(rng.integers(4, 32))
-        mat = rng.standard_normal((n + 2, n))
+        mat = rng.standard_normal((n + extra, n))
         op = tk.SpectralOperator.from_matrix(mat)
         y_ambient = mat @ rng.standard_normal(n)
-        alpha = 10.0 ** rng.uniform(-4, 0)
-        yvec, _ = op.data_from_ambient(y_ambient)
-        u_filter = solve(op, yvec, alpha).solution
-        u_normal = solve_normal_equations(op, y_ambient, alpha)
-        np.testing.assert_allclose(u_filter.coeffs, u_normal.coeffs,
-                                   rtol=1e-10, atol=1e-12)
+        u = min_norm_solution(op, y_ambient)
+        np.testing.assert_allclose(op.ambient_from_domain(u),
+                                   np.linalg.pinv(mat) @ y_ambient,
+                                   rtol=1e-9, atol=1e-10)
 
 
 def test_normal_equations_require_dense_operator():
