@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import os
@@ -43,6 +44,14 @@ CONDITION_ALIASES = {
 }
 NOISE_ALIASES = {"worst-case": WORST_CASE_BASIS, "random": RANDOM_SPHERE,
                  "in-range": IN_RANGE}
+_ALPHA_GRID = {"--alpha-min", "--alpha-max", "--alpha-points"}
+_DELTA_GRID = {"--delta-min", "--delta-max", "--delta-points"}
+#: The mode options each ``rates`` mode reads; the others are refused.
+RATES_OPTIONS = {
+    "noise-free": _ALPHA_GRID,
+    "noisy": {"--mu", "--noise", "--trials"} | _DELTA_GRID,
+    "infimum": {"--noise", "--trials", "--delta"} | _ALPHA_GRID,
+}
 
 
 def _out_path(path: str) -> Path:
@@ -133,6 +142,11 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _cmd_rates(args) -> int:
+    unread = sorted(args.given - RATES_OPTIONS[args.mode])
+    # an option the mode does not read is refused, not ignored
+    if unread:
+        raise ValueError(f"--mode {args.mode} does not read "
+                         f"{', '.join(unread)}")
     if args.format == "csv" and not args.output:
         raise ValueError("--format csv needs --output")
     inst = _load_instance(args)
@@ -203,7 +217,20 @@ def _cmd_conformance(args) -> int:
     return 0 if mismatches == 0 else 1
 
 
+class _Given(argparse.Action):
+    """Store an option's value and record its name in ``given``, so a mode
+    can refuse the options it does not read while the parse keeps every
+    default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {option_string}
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    caller, which only parses with it."""
     # exact option names only: a prefix could be taken for another option
     top = argparse.ArgumentParser(prog="tikrates", description=__doc__,
                                   allow_abbrev=False)
@@ -234,19 +261,21 @@ def _parser() -> argparse.ArgumentParser:
                        help="empirical convergence-order sweeps")
     p.add_argument("--mode", required=True,
                    choices=("noise-free", "noisy", "infimum"))
-    p.add_argument("--mu", type=float, default=2.0 / 3.0)
-    p.add_argument("--noise", default="worst-case",
+    p.set_defaults(given=frozenset())
+    p.add_argument("--mu", type=float, default=2.0 / 3.0, action=_Given,
+                   help="noisy mode only")
+    p.add_argument("--noise", default="worst-case", action=_Given,
                    choices=sorted(NOISE_ALIASES))
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=int, default=None, action=_Given,
                    help="directions per noise level (random and in-range "
                         "noise only)")
-    p.add_argument("--alpha-min", type=float, default=1e-10)
-    p.add_argument("--alpha-max", type=float, default=1e-4)
-    p.add_argument("--alpha-points", type=int, default=25)
-    p.add_argument("--delta-min", type=float, default=1e-8)
-    p.add_argument("--delta-max", type=float, default=1e-2)
-    p.add_argument("--delta-points", type=int, default=25)
-    p.add_argument("--delta", type=float, default=1e-4,
+    p.add_argument("--alpha-min", type=float, default=1e-10, action=_Given)
+    p.add_argument("--alpha-max", type=float, default=1e-4, action=_Given)
+    p.add_argument("--alpha-points", type=int, default=25, action=_Given)
+    p.add_argument("--delta-min", type=float, default=1e-8, action=_Given)
+    p.add_argument("--delta-max", type=float, default=1e-2, action=_Given)
+    p.add_argument("--delta-points", type=int, default=25, action=_Given)
+    p.add_argument("--delta", type=float, default=1e-4, action=_Given,
                    help="noise level for the infimum mode")
     p.add_argument("--format", default="json", choices=("json", "csv"))
 

@@ -4,7 +4,10 @@ the power parameter choice ``alpha = delta**(2 - mu)``, and the projection
 argument showing off-range data perturbations do not move the solutions.
 
 Grids are swept through the closed-form spectral filters, so one singular
-system serves every (alpha, delta, trial) combination.
+system serves every (alpha, delta, trial) combination.  Random and in-range
+noise errors come from one pair of Gram products per sweep, over the whole
+alpha grid; they differ from a per-alpha norm of the perturbed error in the
+last bits only.
 """
 
 from __future__ import annotations
@@ -168,6 +171,9 @@ def _family_errors(op, u_dag: CoeffVector, delta, alphas,
     (``dirs`` None) moves the data by ``+-delta`` along each basis direction
     with the sign that aligns with the bias; at ``delta = 0`` every
     direction leaves just the bias, so each row has a single column.
+    Seeded directions ``e`` expand ``||b + delta r*e||**2`` into
+    ``||b||**2 + 2 delta (b*r).e + delta**2 (r*r).(e*e)``: two matrix
+    products for the whole grid, with no ``(trials, n)`` array per alpha.
     """
     alphas = np.asarray(alphas, dtype=float)[:, None]
     lam = op.sigma ** 2
@@ -175,14 +181,23 @@ def _family_errors(op, u_dag: CoeffVector, delta, alphas,
     if delta == 0.0:
         return np.linalg.norm(bias, axis=1)[:, None]
     resp = op.sigma / (alphas + lam)
+    # a dot product per row, not a summed square: it keeps the noisy
+    # sweep's outputs to the last bit
+    bias_sq = np.array([b @ b for b in bias])[:, None]
     if dirs is None:
         gain = (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
-        # a dot product per row, not a summed square: it keeps the noisy
-        # sweep's outputs to the last bit
-        gain += np.array([b @ b for b in bias])[:, None]
+        gain += bias_sq
         return np.sqrt(gain, out=gain)
-    return np.array([np.linalg.norm(b + delta * dirs * r, axis=1)
-                     for b, r in zip(bias, resp)])
+    # b*r and r*r overwrite their factors, so no third (alphas, n) array
+    bias *= resp
+    resp *= resp
+    sq = bias @ dirs.T
+    sq *= 2.0 * delta
+    sq += bias_sq
+    sq += delta ** 2 * (resp @ (dirs * dirs).T)
+    # cancellation can leave a rounding-sized negative square
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def _noisy_errors(op, u_dag: CoeffVector, delta, alpha,
@@ -263,8 +278,8 @@ def q_projection_equivalence(op: SpectralOperator, y,
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     e = np.asarray(e_offrange, dtype=float).reshape(-1)
-    _, off = op.data_from_ambient(e)
-    in_range = float(np.sqrt(max(e @ e - off ** 2, 0.0)))
+    coeffs, off = op.data_from_ambient(e)
+    in_range = float(np.linalg.norm(coeffs.coeffs))
     max_diff = 0.0
     for alpha in Q_PROJECTION_ALPHAS:
         u_clean = solve_normal_equations(op, y, alpha)

@@ -193,6 +193,57 @@ def test_check_refuses_constants_only_ivi_reads(condition, flag, capsys):
             else "apply only to ivi") in err
 
 
+@pytest.mark.parametrize("mode, option", [
+    ("noise-free", ["--mu", "0.5"]),
+    ("noise-free", ["--noise", "random"]),
+    ("noise-free", ["--trials", "5"]),
+    ("noise-free", ["--delta", "1e-3"]),
+    ("noise-free", ["--delta-points", "10"]),
+    ("noisy", ["--delta", "1e-3"]),
+    ("noisy", ["--alpha-min", "1e-9"]),
+    ("noisy", ["--alpha-points", "10"]),
+    ("infimum", ["--mu", "0.5"]),
+    ("infimum", ["--delta-min", "1e-6"]),
+    ("infimum", ["--delta-points", "10"]),
+])
+def test_rates_refuses_options_its_mode_does_not_read(mode, option, capsys):
+    # an option the mode would ignore exits 2, as a check flag does
+    assert main(["rates", "--instance", "counter26", "--mode", mode,
+                 *option, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert f"--mode {mode} does not read {option[0]}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode, options", [
+    ("noise-free", ["--alpha-min", "1e-9", "--alpha-max", "1e-3",
+                    "--alpha-points", "12"]),
+    ("noisy", ["--mu", "0.5", "--noise", "random", "--trials", "3",
+               "--delta-min", "1e-7", "--delta-max", "1e-3",
+               "--delta-points", "12"]),
+    ("infimum", ["--noise", "in-range", "--trials", "3", "--delta", "1e-3",
+                 "--alpha-min", "1e-9", "--alpha-max", "1e-3",
+                 "--alpha-points", "12"]),
+])
+def test_rates_accepts_every_option_its_mode_reads(mode, options, capsys):
+    assert main(["rates", "--instance", "counter26", "--mode", mode,
+                 *options, "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    from tikrates import cli
+
+    parser = cli._parser()
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a))
+    assert main(["rates", "--instance", "counter26", "--mode", "infimum",
+                 "--no-timestamp"]) == 0
+    assert cli._parser() is parser
+    assert built == []
+
+
 @pytest.mark.parametrize("option", [["--n", "100"],
                                     ["--instance", "counter26"]])
 def test_lemmas_takes_no_instance_options(option):

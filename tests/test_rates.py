@@ -1,12 +1,16 @@
 """Tests for the empirical convergence-rate harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tikrates as tk
 from tikrates.cli import main
-from tikrates.rates import (DegenerateGridError, NoiseModel, _fit,
-                            infimum_rate, noise_free_rate, noisy_rate,
+from tikrates.rates import (DegenerateGridError, NoiseModel, _family_errors,
+                            _fit, infimum_rate, noise_free_rate, noisy_rate,
                             noisy_sweep_rows, q_projection_equivalence)
 from tikrates.tikhonov import min_norm_solution
 
@@ -169,6 +173,77 @@ def test_noise_directions_have_exact_unit_norm():
                                    rtol=1e-14)
 
 
+def _family_errors_reference(op, u_dag, delta, alphas, dirs):
+    """The per-alpha loop that the two-product kernel replaced: one
+    ``(trials, n)`` perturbed error array per alpha."""
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    lam = op.sigma ** 2
+    bias = -alphas / (alphas + lam) * u_dag.coeffs
+    resp = op.sigma / (alphas + lam)
+    return np.array([np.linalg.norm(b + delta * dirs * r, axis=1)
+                     for b, r in zip(bias, resp)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_family_errors_match_the_per_alpha_loop(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    kind = data.draw(st.sampled_from([tk.RANDOM_SPHERE, tk.IN_RANGE]))
+    rng = np.random.default_rng(seed)
+    op = tk.SpectralOperator.diagonal(10.0 ** rng.uniform(-3.0, 0.0, n))
+    u_dag = op.vector(rng.standard_normal(n))
+    alphas = np.logspace(-8.0, 0.0, 9)
+    # b / r = -alpha u / sigma, so the direction u / sigma cancels the bias
+    # exactly at the alpha where delta = alpha ||u / sigma||
+    cancel = u_dag.coeffs / op.sigma
+    k = data.draw(st.integers(0, alphas.size - 1), label="cancelling alpha")
+    delta = alphas[k] * np.linalg.norm(cancel)
+    dirs = np.vstack([NoiseModel(kind=kind, seed=seed).directions(op, 5),
+                      cancel / np.linalg.norm(cancel)])
+    errs = _family_errors(op, u_dag, delta, alphas, dirs)
+    ref = _family_errors_reference(op, u_dag, delta, alphas, dirs)
+    assert errs.shape == ref.shape == (alphas.size, dirs.shape[0])
+    assert np.all(np.isfinite(errs)) and np.all(errs >= 0.0)
+    assert ref[k, -1] <= 1e-12 * np.linalg.norm(u_dag.coeffs)
+    a = alphas[:, None, None]
+    bias = -a / (a + op.sigma ** 2) * u_dag.coeffs
+    noise = delta * op.sigma / (a + op.sigma ** 2) * dirs
+    scale = ((bias ** 2).sum(axis=2) + 2.0 * np.abs(bias * noise).sum(axis=2)
+             + (noise ** 2).sum(axis=2))
+    assert np.all(np.abs(errs ** 2 - ref ** 2)
+                  <= 64 * n * np.finfo(float).eps * scale)
+
+
+def test_family_errors_match_the_per_alpha_loop_at_deep_truncation():
+    inst = tk.build("harmonic4", 10_000)
+    u_dag = min_norm_solution(inst.op, inst.y)
+    alphas = np.logspace(-10.0, -4.0, 100)
+    for kind in (tk.RANDOM_SPHERE, tk.IN_RANGE):
+        dirs = NoiseModel(kind=kind, seed=1).directions(inst.op)
+        for delta in (1e-4, 1e-3):
+            errs = _family_errors(inst.op, u_dag, delta, alphas, dirs)
+            ref = _family_errors_reference(inst.op, u_dag, delta, alphas,
+                                           dirs)
+            assert np.max(np.abs(errs - ref) / ref) <= 1e-13
+
+
+def test_family_errors_hold_no_per_alpha_temporaries():
+    inst = tk.build("harmonic4", 10_000)
+    u_dag = min_norm_solution(inst.op, inst.y)
+    alphas = np.logspace(-10.0, -4.0, 200)
+    dirs = NoiseModel(kind=tk.RANDOM_SPHERE, seed=1).directions(inst.op, 32)
+    tracemalloc.start()
+    try:
+        _family_errors(inst.op, u_dag, 1e-3, alphas, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three (200, 10^4) float arrays are 48 MB: the bias, the response and
+    # the denominator they share while the response is formed
+    assert peak <= 50e6
+
+
 def test_infimum_rate_never_exceeds_power_rule_choice():
     inst = tk.build("counter26", 60)
     noise = NoiseModel(kind=tk.WORST_CASE_BASIS)
@@ -287,14 +362,17 @@ def rank_deficient_op(seed, rows=8, rank=4):
 
 
 def test_q_projection_off_range_noise_is_invisible():
-    op, rng = rank_deficient_op(0)
-    y = op.matrix @ rng.standard_normal(8)
-    null = op.null_data_directions()
-    e = null @ rng.standard_normal(null.shape[1])
-    res = q_projection_equivalence(op, y, e)
-    assert res.equivalent
-    assert res.max_difference <= 1e-10
-    assert res.in_range_norm <= 1e-10 * np.linalg.norm(e)
+    # many seeds: a difference of squared norms reads up to 2e-8 ||e|| on
+    # some of them, though the in-range component is a rounding error
+    for seed in range(200):
+        op, rng = rank_deficient_op(seed)
+        y = op.matrix @ rng.standard_normal(8)
+        null = op.null_data_directions()
+        e = null @ rng.standard_normal(null.shape[1])
+        res = q_projection_equivalence(op, y, e)
+        assert res.equivalent, seed
+        assert res.max_difference <= 1e-10, seed
+        assert res.in_range_norm <= 1e-10 * np.linalg.norm(e), seed
 
 
 def test_q_projection_zero_perturbation():
