@@ -46,6 +46,9 @@ NOISE_ALIASES = {"worst-case": WORST_CASE_BASIS, "random": RANDOM_SPHERE,
                  "in-range": IN_RANGE}
 _ALPHA_GRID = {"--alpha-min", "--alpha-max", "--alpha-points"}
 _DELTA_GRID = {"--delta-min", "--delta-max", "--delta-points"}
+#: The conditions that read each ``check`` option, parameters first.
+CHECK_OPTIONS = {"nu": (cond.STANDARD_SC, cond.HVI, cond.SVI, cond.SPECTRAL_TAIL),
+                 "mu": (cond.IVI,), "beta": (cond.IVI,), "gamma": (cond.IVI,)}
 #: The mode options each ``rates`` mode reads; the others are refused.
 RATES_OPTIONS = {
     "noise-free": _ALPHA_GRID,
@@ -110,20 +113,17 @@ def _load_instance(args) -> NamedInstance:
 
 def _cmd_check(args) -> int:
     condition = CONDITION_ALIASES[args.condition]
-    ivi = condition == cond.IVI
-    flag, unread = ("mu", ("nu",)) if ivi else ("nu", ("mu", "beta", "gamma"))
     # a flag the condition does not read is refused, not ignored
-    if any(getattr(args, f) is not None for f in unread):
-        raise ValueError("--nu does not apply to ivi" if ivi else
-                         "--mu, --beta and --gamma apply only to ivi")
-    param = getattr(args, flag)
-    if param is None:
+    for opt, readers in CHECK_OPTIONS.items():
+        if condition not in readers and getattr(args, opt) is not None:
+            raise ValueError(f"--{opt} does not apply to {condition} (it can "
+                             f"apply only to {', '.join(readers)})")
+    flag, *consts = (o for o, r in CHECK_OPTIONS.items() if condition in r)
+    if (param := getattr(args, flag)) is None:
         raise ValueError(f"--{flag} is required for this condition")
-    consts = {"beta": args.beta, "gamma": args.gamma} if ivi else {}
-    inst = _load_instance(args)
-    rep = CHECKS[condition](inst, param, args.seed, **consts)
-    text = _dump_json(rep.to_json(), args.output, not args.no_timestamp)
-    print(text)
+    rep = CHECKS[condition](_load_instance(args), param,
+                            **{c: getattr(args, c) for c in consts})
+    print(_dump_json(rep.to_json(), args.output, not args.no_timestamp))
     return 0
 
 
@@ -197,7 +197,7 @@ def _cmd_conformance(args) -> int:
     rows = []
     for name in names:
         inst = build(name, n=args.n, seed=args.seed)
-        rows.extend(run_battery(inst, seed=args.seed))
+        rows.extend(run_battery(inst))
     width = max(len(r["instance"]) for r in rows)
     mismatches = 0
     print(f"{'instance':{width}}  {'condition':13} {'param':>7} "

@@ -26,6 +26,11 @@ explicit witness family defeats every constant under a divergence proxy,
 and ``Inconclusive`` is the honest default when a finite section cannot
 distinguish slow convergence from divergence.
 
+The variational checks scan deterministic probe families: ordered
+structured families, which carry the refutations, and the extremal
+t-family ``u+ / (sigma**(2 rho) + t)``, on which the pairing ratio behind
+``beta_lower`` and the ivi needed beta attain their suprema.
+
 Constant conventions.  The homogeneous and symmetrized checks report
 ``beta`` for the pairing form ``<u+, u> <= beta * Phi(u)``; the doubled form
 of the defining inequality uses twice that value.  The converters
@@ -70,8 +75,10 @@ TAIL_SLOPE_TOL = 0.05
 REL_SLACK = 1e-9
 _MIN_FIT_POINTS = 5
 
-#: Seeded random probe vectors per probe-family scan.
-RANDOM_PROBES = 1000
+#: Log-spaced points of the t-family grid, which spans ``w_min / T_MARGIN``
+#: to ``w_max * T_MARGIN`` for the weights ``w = lambda**rho``.
+T_GRID_POINTS = 400
+T_MARGIN = 1e3
 #: Most (index, value) pairs kept in a report's diagnostics series.
 DIAGNOSTIC_POINTS = 160
 
@@ -192,21 +199,17 @@ def _sum_family(label, index, d, w, wpow, total) -> _Family:
 @np.errstate(over="ignore", invalid="ignore")
 def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
                    *, seed: int = 0) -> list[_Family]:
-    """Deterministic structured probes plus ``RANDOM_PROBES`` seeded random
-    vectors.
+    """Deterministic structured probes, in order, then the extremal
+    t-family of :func:`_t_family`.
 
     The structured families are the ones on which refutations are achieved:
     single basis directions, truncated copies of the solution (plain and
     reweighted by powers of the singular values), flat averaging heads, and
-    sliding windows of the inverse-weighted profile.
+    sliding windows of the inverse-weighted profile.  The t-family carries
+    the largest pairing ratio and ivi needed beta up to its grid spacing.
 
-    The random probes form one seeded stream cut into 256-row blocks, the
-    second half of each block sign-aligned with the solution.  They are
-    streamed through one preallocated chunk whose row count is a multiple
-    of 4 and starts at each block's start, so BLAS sums every row as it
-    would over the whole block and the outputs keep their bits.  The random
-    family needs O(rows * n) memory, not O(256 * n): rows is the multiple
-    of 4 from 4 to 256 that keeps a chunk near 2**14 doubles.
+    Every family is deterministic.  ``seed`` is accepted and ignored: the
+    benchmark's scaling sweep (``perfbench/sweep.py``) still passes it.
     """
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
@@ -214,6 +217,8 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     n = op.n
     m_index = np.arange(1, n + 1)
     wpow = sig ** (2.0 * rho)
+    # built first, so its temporaries are gone before the structured arrays
+    t_family = _t_family(op, d, rho)
 
     fams = [
         _Family("basis", m_index, d, np.ones(n), sig ** rho, ordered=True),
@@ -235,30 +240,53 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     fams.append(_sum_family("tail", m_index, d, d, wpow,
                             lambda v: np.cumsum(v[::-1])[::-1]))
 
-    rng = np.random.default_rng(seed)
-    ip, nrm, pnm = (np.empty(RANDOM_PROBES) for _ in range(3))
-    sign = np.sign(d)
-    # about 2**14 doubles (128 KB) per chunk, a whole block at n <= 64
-    rows = 4 * max(1, min(64, 2 ** 12 // n))
-    buf = np.empty((rows, n))
-    for start in range(0, RANDOM_PROBES, 256):
-        end = min(start + 256, RANDOM_PROBES)
-        half = start + (end - start) // 2
-        for lo in range(start, end, rows):
-            hi = min(lo + rows, end)
-            x = buf[:hi - lo]
-            rng.standard_normal(out=x)
-            aligned = x[max(half - lo, 0):]  # sign-aligned half probes
-            np.abs(aligned, out=aligned)
-            aligned *= sign
-            ip[lo:hi] = x @ d
-            np.multiply(x, x, out=x)
-            nrm[lo:hi] = np.add.reduce(x, axis=1)
-            pnm[lo:hi] = x @ wpow
-    fams.append(_Family("random", np.arange(RANDOM_PROBES), ip,
-                        np.sqrt(nrm, out=nrm), np.sqrt(pnm, out=pnm),
-                        ordered=False))
+    fams.append(t_family)
     return fams
+
+
+def _t_family(op: SpectralOperator, d: np.ndarray, rho: float) -> _Family:
+    """The curve ``u_t = u+ / (w + t)``, ``w = lambda**rho``, at t = 0, on
+    ``T_GRID_POINTS`` log-spaced t and at t = inf, indexed by grid position.
+
+    By KKT on a diagonal system the pairing ratio, and at ``rho = 1`` the
+    ivi needed beta, peak on this curve.  Over the spectral atoms with
+    masses m: ``ip = sum m / (w + t)``, ``nrm**2 = sum m / (w + t)**2``,
+    ``pnm**2 = sum w m / (w + t)**2``, on chunks of about 2**14 entries.
+    The checks are scale-invariant, so each ``u_t`` is scaled by ``e**r``,
+    ``r = max(log t, log w_min)``, and built from ``rho log lambda`` and
+    ``log t``: neither ``lambda**rho`` nor t underflows on deep spectra.
+    """
+    lam, mass = _spectral_atoms(op, d ** 2)
+    s = rho * np.log(lam)
+    margin = np.log(T_MARGIN)
+    tau = np.concatenate(([-np.inf], np.linspace(
+        s[0] - margin, s[-1] + margin, T_GRID_POINTS)))
+    r = np.maximum(tau, s[0])
+    rest = np.exp(tau - r)  # t e**-r; 0 at t = 0
+    ip, nrm, pnm = (np.empty(tau.size + 1) for _ in range(3))
+    rows = max(1, 2 ** 14 // s.size)
+    # two buffers serve every chunk, so the loop allocates no arrays
+    ws_buf, v_buf = np.empty((rows, s.size)), np.empty((rows, s.size))
+    for lo in range(0, tau.size, rows):
+        hi = min(lo + rows, tau.size)
+        ws, v = ws_buf[:hi - lo], v_buf[:hi - lo]
+        # e**(s - r), capped where the term is negligible anyway
+        np.subtract(s, r[lo:hi, None], out=ws)
+        np.exp(np.minimum(ws, 700.0, out=ws), out=ws)
+        np.add(ws, rest[lo:hi, None], out=v)
+        np.divide(1.0, v, out=v)  # e**r / (w + t)
+        ip[lo:hi] = v @ mass
+        ws *= v
+        ws *= v  # w v**2 e**-r
+        pnm[lo:hi] = ws @ mass
+        v *= v
+        nrm[lo:hi] = v @ mass
+    # t = inf: the solution itself, scaled by 1
+    ip[-1] = nrm[-1] = mass.sum()
+    pnm[-1] = np.exp(s - s[-1]) @ mass
+    pnm = np.sqrt(pnm, out=pnm) * np.exp(np.append(r, s[-1]) / 2.0)
+    return _Family("t_family", np.arange(tau.size + 1), ip,
+                   np.sqrt(nrm, out=nrm), pnm, ordered=False)
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
@@ -329,18 +357,17 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     certificate norm is ``sqrt(S_N)``.  On a truncated section the tail
     terms are classified: geometric decay certifies, flat or growing terms
     and power-law tails with exponent at or above -1 refute, borderline
-    tails stay inconclusive.  A ``sigma**(-2 nu)`` that overflows raises
-    ``ValueError``.
+    tails stay inconclusive.  A term ``u_n**2 sigma_n**(-2 nu)`` that
+    overflows raises ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2]")
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
     n = op.n
-    with np.errstate(over="ignore"):
-        weights = op.sigma ** (-2.0 * nu)
-    if np.isinf(weights).any():
-        raise ValueError(f"sigma**(-2 nu) overflows at nu = {nu:g}")
-    terms = d ** 2 * weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (d * op.sigma ** -nu) ** 2
+    if not np.all(np.isfinite(terms)):
+        raise ValueError(f"u+**2 sigma**(-2 nu) overflows at nu = {nu:g}")
     partial = np.cumsum(terms)
     total = float(partial[-1])
     m_index = np.arange(1, n + 1)
@@ -610,27 +637,30 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, fams):
                            witness=lower_witness)
 
 
-def check_hvi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
-              seed: int = 0) -> ConditionReport:
+def check_hvi(op: SpectralOperator, u_dagger: CoeffVector,
+              nu: float) -> ConditionReport:
     """Check the homogeneous variational inequality at parameter ``nu``.
 
     The reported ``beta`` is the pairing-form constant, certified through
-    the smaller of the half-mass split bound and the spectral-tail route;
-    ``beta_lower`` is the largest ratio observed on the probe families.
+    the smaller of the half-mass split bound and the spectral-tail route.
+    ``beta_lower`` is the largest ratio on the probe families.  The
+    supremum of the ratio lies on the curve of the t-family, so unless a
+    structured family refutes first, ``beta_lower`` is that supremum up to
+    the t grid's spacing (within about 1e-4 relative).
     """
     nu = in_interval("nu", nu, "(0, 1]")
     return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI,
-                             probe_families(op, u_dagger, 1.0, seed=seed))
+                             probe_families(op, u_dagger, 1.0))
 
 
-def check_svi(op: SpectralOperator, u_dagger: CoeffVector, nu: float, *,
-              seed: int = 0) -> ConditionReport:
+def check_svi(op: SpectralOperator, u_dagger: CoeffVector,
+              nu: float) -> ConditionReport:
     """Check the symmetrized variational inequality at parameter ``nu``;
     same conventions as :func:`check_hvi` with the normal operator in place
-    of the forward map."""
+    of the forward map, and the t-family built at ``rho = 2``."""
     nu = in_interval("nu", nu, "(0, 2]")
     return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI,
-                             probe_families(op, u_dagger, 2.0, seed=seed))
+                             probe_families(op, u_dagger, 2.0))
 
 
 # Inhomogeneous variational inequality ---------------------------------------
@@ -660,8 +690,8 @@ def _needed_beta(fam, mu, gamma):
 
 
 def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
-              beta: float | None = None, gamma: float | None = None, *,
-              seed: int = 0) -> ConditionReport:
+              beta: float | None = None,
+              gamma: float | None = None) -> ConditionReport:
     """Verify inhomogeneous-inequality constants ``(beta, gamma)`` in the
     doubled convention at parameter ``mu``.  A constant left ``None`` is
     derived through the certificate chain on the same probe families: the
@@ -675,7 +705,7 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     needed beta diverges along an ordered family, defeating every constant.
     """
     mu = in_interval("mu", mu, "(0, 1]")
-    fams = probe_families(op, u_dagger, 1.0, seed=seed)
+    fams = probe_families(op, u_dagger, 1.0)
     if beta is None or gamma is None:
         hvi = _check_pairing_vi(op, u_dagger, mu / (2.0 - mu), 1.0, HVI, fams)
         if hvi.verdict == CERTIFIED:

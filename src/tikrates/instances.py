@@ -120,39 +120,37 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
                          u_dagger=op.vector(d), expected=expected)
 
 
-def derive_ivi_constants(inst: NamedInstance, mu: float, *,
-                         seed: int = 0) -> tuple[float, float]:
+def derive_ivi_constants(inst: NamedInstance,
+                         mu: float) -> tuple[float, float]:
     """Constants for an inhomogeneous check, as :func:`conditions.check_ivi`
     derives them through the certificate chain."""
-    rep = cond.check_ivi(inst.op, inst.u_dagger, mu, seed=seed)
+    rep = cond.check_ivi(inst.op, inst.u_dagger, mu)
     return rep.constants["beta"], rep.constants["gamma"]
 
 
-#: Condition name -> check call ``(inst, param, seed)``.  Only the ivi call
-#: also takes ``beta`` and ``gamma``; :func:`conditions.check_ivi` derives
-#: the ones left ``None``.
+#: Condition name -> check call ``(inst, param)``.  Only the ivi call also
+#: takes ``beta`` and ``gamma``; :func:`conditions.check_ivi` derives the
+#: ones left ``None``.
 CHECKS = {
-    cond.STANDARD_SC: lambda inst, nu, seed:
+    cond.STANDARD_SC: lambda inst, nu:
         cond.check_standard_sc(inst.op, inst.u_dagger, nu),
-    cond.HVI: lambda inst, nu, seed:
-        cond.check_hvi(inst.op, inst.u_dagger, nu, seed=seed),
-    cond.SVI: lambda inst, nu, seed:
-        cond.check_svi(inst.op, inst.u_dagger, nu, seed=seed),
-    cond.SPECTRAL_TAIL: lambda inst, nu, seed:
+    cond.HVI: lambda inst, nu: cond.check_hvi(inst.op, inst.u_dagger, nu),
+    cond.SVI: lambda inst, nu: cond.check_svi(inst.op, inst.u_dagger, nu),
+    cond.SPECTRAL_TAIL: lambda inst, nu:
         cond.check_spectral_tail(inst.op, inst.u_dagger, nu),
-    cond.IVI: lambda inst, mu, seed, beta=None, gamma=None:
-        cond.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma, seed=seed),
+    cond.IVI: lambda inst, mu, beta=None, gamma=None:
+        cond.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma),
 }
 
 
-def run_battery(inst: NamedInstance, *, seed: int = 0) -> list[dict]:
+def run_battery(inst: NamedInstance) -> list[dict]:
     """Run every expected (condition, parameter) check of an instance.
 
     Returns one row per check with the computed report and a match flag.
     """
     rows = []
     for (condition, param), want in sorted(inst.expected.items()):
-        rep = CHECKS[condition](inst, param, seed)
+        rep = CHECKS[condition](inst, param)
         rows.append({"instance": inst.name, "condition": condition,
                      "parameter": param, "expected": want,
                      "computed": rep.verdict, "match": rep.verdict == want,

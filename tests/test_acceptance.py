@@ -193,14 +193,14 @@ def test_criterion_7_implication_chain_on_random_instances():
             continue
         omega_norm = ssc.constants["omega_norm"]
         beta = tk.ssc_to_hvi_certificate(omega_norm)
-        hvi = tk.check_hvi(op, u_dag, nu, seed=i)
+        hvi = tk.check_hvi(op, u_dag, nu)
         # converted doubled-form constant must dominate every probe pairing
         if hvi.verdict != tk.CERTIFIED or \
                 2.0 * hvi.constants["beta_lower"] > beta * (1.0 + 1e-9):
             chain_failures += 1
             continue
         mu, bp, gm = tk.hvi_to_ivi_certificate(beta, nu)
-        ivi = tk.check_ivi(op, u_dag, mu, bp, gm, seed=i)
+        ivi = tk.check_ivi(op, u_dag, mu, bp, gm)
         if ivi.verdict != tk.CERTIFIED:
             chain_failures += 1
     gate.check(chain_failures == 0, f"{chain_failures}/500 chain violations")
@@ -209,12 +209,12 @@ def test_criterion_7_implication_chain_on_random_instances():
     for seed in range(40):
         inst = tk.build("finite_rank", 32, seed=seed)
         nu = 0.5
-        hvi = tk.check_hvi(inst.op, inst.u_dagger, nu, seed=seed)
+        hvi = tk.check_hvi(inst.op, inst.u_dagger, nu)
         if hvi.verdict != tk.CERTIFIED:
             exact_failures += 1
             continue
         mu, bp, gm = tk.ivi_from_hvi_report(hvi)
-        ivi = tk.check_ivi(inst.op, inst.u_dagger, mu, bp, gm, seed=seed)
+        ivi = tk.check_ivi(inst.op, inst.u_dagger, mu, bp, gm)
         ssc = tk.check_standard_sc(inst.op, inst.u_dagger, nu)
         if ivi.verdict == tk.CERTIFIED and ssc.verdict != tk.CERTIFIED:
             exact_failures += 1

@@ -50,6 +50,16 @@ def test_check_ivi_derives_constants_when_omitted(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "Certified"
 
 
+def test_check_ssc_with_finite_terms_past_an_overflowing_power(capsys):
+    # sigma**(-2 nu) reaches 2**1200, but each term u_n**2 sigma_n**(-2 nu)
+    # is at most 2**900
+    assert main(["check", "--instance", "counter26", "--n", "300",
+                 "--condition", "ssc", "--nu", "2.0", "--no-timestamp"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "RefutedAtN"
+    assert captured.err == ""
+
+
 def _no_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tikrates as tk
 from tikrates import conditions as cond
@@ -140,6 +142,9 @@ def test_harmonic_logarithmic_growth_refutes_at_every_depth(n):
     ivi = tk.check_ivi(inst.op, inst.u_dagger, 1.0, 14.0, 0.0)
     assert ivi.verdict == tk.REFUTED_AT_N
     assert "trace_slope" in ivi.constants  # refuted by growth, not by beta
+    # and with the constants check_ivi derives itself
+    assert tk.check_ivi(inst.op, inst.u_dagger, 1.0).verdict \
+        == tk.REFUTED_AT_N
     assert tk.check_hvi(inst.op, inst.u_dagger, 0.5).verdict == tk.CERTIFIED
 
 
@@ -203,7 +208,7 @@ def test_svi_deep_section_refutes_without_overflow_warnings(name, nu):
 def test_non_finite_spectral_powers_refuse(name, n, seed, condition, message):
     inst = tk.build(name, n, seed)
     with pytest.raises(ValueError, match=re.escape(message)):
-        CHECKS[condition](inst, 1.5, 0)
+        CHECKS[condition](inst, 1.9)
 
 
 @pytest.mark.parametrize("n, seed, nu", [(500, 2, 1.5), (1000, 0, 1.0),
@@ -280,7 +285,7 @@ def test_ivi_with_derived_constants_builds_the_probe_families_once(
         return build_families(*args, **kwargs)
 
     monkeypatch.setattr(cond, "probe_families", counted)
-    rep = CHECKS[tk.IVI](inst, 1.0, 0)
+    rep = CHECKS[tk.IVI](inst, 1.0)
     assert len(calls) == 1
     assert rep.verdict == inst.expected[(tk.IVI, 1.0)]
 
@@ -398,7 +403,7 @@ def test_certified_tail_constant_converts_into_both_inequalities():
         c_const = tail.constants["C"]
         for rho, checker in ((1.0, tk.check_hvi), (2.0, tk.check_svi)):
             beta = tk.scr_to_vi_certificate(c_const, nu, rho)
-            rep = checker(inst.op, inst.u_dagger, nu, seed=seed)
+            rep = checker(inst.op, inst.u_dagger, nu)
             assert rep.verdict == tk.CERTIFIED
             assert 2.0 * rep.constants["beta_lower"] <= beta * (1.0 + 1e-9)
 
@@ -429,11 +434,11 @@ def test_closed_range_equivalence_on_exact_instances():
         inst = tk.build("finite_rank", 32, seed=seed)
         nu = 0.5
         mu = 2.0 * nu / (1.0 + nu)
-        hvi = tk.check_hvi(inst.op, inst.u_dagger, nu, seed=seed)
+        hvi = tk.check_hvi(inst.op, inst.u_dagger, nu)
         assert hvi.verdict == tk.CERTIFIED
         _, beta, gamma = tk.hvi_to_ivi_certificate(
             2.0 * hvi.constants["beta"], nu)
-        ivi = tk.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma, seed=seed)
+        ivi = tk.check_ivi(inst.op, inst.u_dagger, mu, beta, gamma)
         assert ivi.verdict == tk.CERTIFIED
         ssc = tk.check_standard_sc(inst.op, inst.u_dagger, nu)
         assert ssc.verdict == tk.CERTIFIED
@@ -450,58 +455,94 @@ def test_report_serialization_schema():
 
 
 def test_checks_are_deterministic_for_fixed_seed():
+    # no check draws random numbers: repeated calls agree bit for bit
     inst = tk.build("counter26", 60)
-    a = tk.check_hvi(inst.op, inst.u_dagger, 0.5, seed=123)
-    b = tk.check_hvi(inst.op, inst.u_dagger, 0.5, seed=123)
-    assert a.to_json() == b.to_json()
+    for condition, param in ((tk.HVI, 0.5), (tk.SVI, 0.5), (tk.IVI, 2 / 3)):
+        a = CHECKS[condition](inst, param)
+        assert a.to_json() == CHECKS[condition](inst, param).to_json()
 
 
-# Random probe stream ----------------------------------------------------------
+# Extremal t-family -----------------------------------------------------------
 
 
-def _random_family_reference(d, wpow, seed):
-    """The random block computed over whole 256-row blocks, as it was before
-    the probes were streamed through chunks."""
+def _explicit_family(probes, d, wpow):
+    """A probe family holding the rows of ``probes``."""
+    sq = probes ** 2
+    return cond._Family("explicit", np.arange(len(probes)), probes @ d,
+                        np.sqrt(sq.sum(axis=1)), np.sqrt(sq @ wpow),
+                        ordered=False)
+
+
+def _t_curve(d, wpow, tau):
+    """``u+ / (wpow + e**tau)`` per tau, each row scaled to unit maximum."""
+    u = d / (wpow + np.exp(tau)[:, None])
+    return u / np.abs(u).max(axis=1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_t_family_attains_the_supremum_of_random_probes(seed):
+    """On small diagonal systems no random probe beats the curve ``u+ / (w
+    + t)``, and the t grid is within 1e-4 of a 10^5-point scan of it."""
     rng = np.random.default_rng(seed)
-    ips, nrms, pnms = [], [], []
-    sign = np.sign(d)
-    for start in range(0, cond.RANDOM_PROBES, 256):
-        block = min(256, cond.RANDOM_PROBES - start)
-        x = rng.standard_normal((block, d.size))
-        half = block // 2
-        x[half:] = np.abs(x[half:]) * sign
-        ips.append(x @ d)
-        nrms.append(np.linalg.norm(x, axis=1))
-        pnms.append(np.sqrt((x ** 2) @ wpow))
-    return np.concatenate(ips), np.concatenate(nrms), np.concatenate(pnms)
+    n = int(rng.integers(1, 13))
+    sigma = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    d = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 0.0, n)
+    op = tk.SpectralOperator.diagonal(sigma)
+    nu, mu, gamma = rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.99), \
+        rng.uniform(0.01, 0.99)
+    cases = ((1.0, lambda f: cond._pairing_ratios(f, nu)),      # hvi at nu
+             (2.0, lambda f: cond._pairing_ratios(f, nu)),      # svi at 2 nu
+             (1.0, lambda f: cond._needed_beta(f, mu, gamma)))  # ivi
+    random = rng.standard_normal((10_000, n))
+    random[5_000:] = np.abs(random[5_000:]) * np.sign(d)  # sign-aligned
+    for rho, score in cases:
+        wpow = sigma ** (2.0 * rho)
+        t_fam = cond.probe_families(op, op.vector(d), rho)[-1]
+        assert t_fam.label == "t_family"
+        grid_best = score(t_fam).max()
+        lo, hi = np.log(wpow.min() / 1e3), np.log(wpow.max() * 1e3)
+        tau = np.linspace(lo, hi, 100_000)
+        scan = score(_explicit_family(np.vstack(
+            [d / wpow, _t_curve(d, wpow, tau), d]), d, wpow))
+        scan_best = scan.max()
+        # the supremum on the curve: the scan refined around its best point
+        k = int(np.argmax(scan)) - 1
+        sup = scan_best
+        if 0 <= k < tau.size:
+            h = tau[1] - tau[0]
+            fine = np.linspace(tau[k] - h, tau[k] + h, 2001)
+            sup = max(sup, score(_explicit_family(
+                _t_curve(d, wpow, fine), d, wpow)).max())
+        rand_best = score(_explicit_family(random, d, wpow)).max()
+        assert rand_best <= sup * (1.0 + 1e-9)
+        assert grid_best <= sup * (1.0 + 1e-9)
+        assert grid_best >= sup * (1.0 - 1e-4)
+        assert abs(grid_best - scan_best) <= 1e-4 * scan_best
 
 
-def _assert_random_family_matches_reference(op, u, rho, seed):
-    fam = cond.probe_families(op, u, rho, seed=seed)[-1]
-    assert fam.label == "random"
-    ip, nrm, pnm = _random_family_reference(u.coeffs, op.sigma ** (2.0 * rho),
-                                            seed)
-    assert np.array_equal(fam.ip, ip)
-    assert np.array_equal(fam.nrm, nrm)
-    assert np.array_equal(fam.pnm, pnm)
+def test_probe_families_ignore_the_seed():
+    inst = tk.build("random_diag", 60, seed=3)
+    a = cond.probe_families(inst.op, inst.u_dagger, 1.0, seed=0)
+    b = cond.probe_families(inst.op, inst.u_dagger, 1.0, seed=1)
+    assert [f.label for f in a] == [f.label for f in b]
+    for fa, fb in zip(a, b):
+        for field in ("index", "ip", "nrm", "pnm"):
+            assert np.array_equal(getattr(fa, field), getattr(fb, field))
 
 
-# n = 60 streams whole blocks; n = 65 a 252-row chunk that crosses the
-# sign-aligned half; larger n several chunks per block
-@pytest.mark.parametrize("n", [60, 65, 400, 900, 10_000])
-@pytest.mark.parametrize("rho", [1.0, 2.0])
-def test_random_probe_stream_matches_whole_block_reference(n, rho):
-    inst = tk.build("harmonic4", n)
-    _assert_random_family_matches_reference(inst.op, inst.u_dagger, rho, 5)
-
-
-def test_random_probe_stream_matches_reference_on_zero_coefficients():
-    # sign(0) = 0 zeroes those coordinates of the aligned half probes
-    inst = tk.build("harmonic4", 400)
-    coeffs = inst.u_dagger.coeffs.copy()
-    coeffs[::3] = 0.0
-    u = tk.CoeffVector(coeffs, inst.u_dagger.frame)
-    _assert_random_family_matches_reference(inst.op, u, 1.0, 3)
+@pytest.mark.parametrize("name, n, nu, beta_lower", [
+    ("counter26", 60, 0.5, 2.129),
+    ("remark_nu_gap", 60, 0.25, 1.704),
+    ("identity", 60, 0.5, 1.0),
+    ("harmonic4", 100_000, 0.5, 1.458),
+])
+def test_t_family_lower_brackets(name, n, nu, beta_lower):
+    inst = tk.build(name, n)
+    rep = tk.check_hvi(inst.op, inst.u_dagger, nu)
+    assert rep.verdict == tk.CERTIFIED
+    assert round(rep.constants["beta_lower"], 3) == beta_lower
+    assert rep.constants["beta_lower"] <= rep.constants["beta"]
 
 
 def test_probe_families_memory_does_not_scale_with_the_block():

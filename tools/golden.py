@@ -6,8 +6,7 @@ Writes 132 files into OUTDIR: ``conformance --all``; ``lemmas --count
 2000``; ``check`` on every documented (instance, condition, parameter) at
 n = 60; every invocation of the three benchmark workloads in
 ``perfbench/workloads.py`` at seed 1 (deep checks at n = 10^4 and 10^5,
-where the random probes pass through several chunks per block, the rate
-sweeps with 100- to 200-point fit windows, and the lemma and dense
+the rate sweeps with 100- to 200-point fit windows, and the lemma and dense
 finite_rank calls); harmonic4 hvi at nu = 1 and n = 10^5, where the needed
 constant grows like ``sqrt(log n)``; three operator JSON files, a diagonal
 section, a rank-3 integer matrix with two null directions and a full-rank
