@@ -521,6 +521,53 @@ def test_t_family_attains_the_supremum_of_random_probes(seed):
         assert abs(grid_best - scan_best) <= 1e-4 * scan_best
 
 
+# Probe stream -----------------------------------------------------------------
+# The t-family stands in for the old random probe block and, like it, is
+# streamed through chunks; these tests keep that block's names.
+
+
+def _t_family_reference(op, d, rho):
+    """The t-family computed over one whole (grid, n) block of probes
+    ``e**r u+ / (w + t)``, ``r = max(log t, log w_min)``, with t = inf last."""
+    wpow = op.sigma ** (2.0 * rho)
+    s = rho * np.log(op.lambdas)
+    margin = np.log(cond.T_MARGIN)
+    tau = np.concatenate(([-np.inf], np.linspace(
+        s.min() - margin, s.max() + margin, cond.T_GRID_POINTS)))
+    x = d * np.exp(np.maximum(tau, s.min()))[:, None] \
+        / (wpow + np.exp(tau)[:, None])
+    x = np.vstack([x, d])
+    return x @ d, np.linalg.norm(x, axis=1), np.sqrt((x ** 2) @ wpow)
+
+
+def _assert_t_family_matches_reference(op, u, rho):
+    fam = cond.probe_families(op, u, rho)[-1]
+    assert fam.label == "t_family"
+    ip, nrm, pnm = _t_family_reference(op, u.coeffs, rho)
+    assert np.array_equal(fam.index, np.arange(cond.T_GRID_POINTS + 2))
+    np.testing.assert_allclose(fam.ip, ip, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fam.nrm, nrm, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fam.pnm, pnm, rtol=1e-12, atol=0.0)
+
+
+# n = 60 and 65 stream the grid in two chunks, the last one short; larger n
+# in ever more chunks, down to one grid row per chunk at n = 10^4
+@pytest.mark.parametrize("n", [60, 65, 400, 900, 10_000])
+@pytest.mark.parametrize("rho", [1.0, 2.0])
+def test_random_probe_stream_matches_whole_block_reference(n, rho):
+    inst = tk.build("harmonic4", n)
+    _assert_t_family_matches_reference(inst.op, inst.u_dagger, rho)
+
+
+def test_random_probe_stream_matches_reference_on_zero_coefficients():
+    # zero-mass atoms stay in the spectrum, so they still span the t grid
+    inst = tk.build("harmonic4", 400)
+    coeffs = inst.u_dagger.coeffs.copy()
+    coeffs[::3] = 0.0
+    u = tk.CoeffVector(coeffs, inst.u_dagger.frame)
+    _assert_t_family_matches_reference(inst.op, u, 1.0)
+
+
 def test_probe_families_ignore_the_seed():
     inst = tk.build("random_diag", 60, seed=3)
     a = cond.probe_families(inst.op, inst.u_dagger, 1.0, seed=0)
