@@ -293,15 +293,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     needs_instance = args.command in ("check", "rates") or (
         args.command == "conformance" and not args.all)
-    if needs_instance and args.instance is None:
-        print("error: --instance is required", file=sys.stderr)
-        return 2
-    if "n" in args and args.n < 8:
-        print("error: --n must be at least 8", file=sys.stderr)
-        return 2
     handlers = {"check": _cmd_check, "rates": _cmd_rates,
                 "lemmas": _cmd_lemmas, "conformance": _cmd_conformance}
     try:
+        if needs_instance and args.instance is None:
+            raise ValueError("--instance is required")
+        if "n" in args and args.n < 8:
+            raise ValueError("--n must be at least 8")
+        if args.seed < 0:
+            raise ValueError("--seed must be a non-negative integer")
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

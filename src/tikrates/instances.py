@@ -27,8 +27,9 @@ class NamedInstance:
     expected: dict
 
 
-def _orthogonal(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+def _orthogonal(rng, n: int, k: int) -> np.ndarray:
+    # all n x n normals are drawn, to keep the stream; k columns are factored
+    q, r = np.linalg.qr(rng.standard_normal((n, n))[:, :k])
     return q * np.sign(np.diag(r))
 
 
@@ -44,8 +45,8 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
                    smoothness certified below 1/2 yet the homogeneous
                    inequality at 1/2 is defeated by basis vectors.
     identity       unit spectrum, well-posed; everything certifies.
-    finite_rank    exact dense rank-deficient operator, spectrum bounded
-                   away from zero.
+    finite_rank    dense n x n operator of rank k = max(3, n // 4), spectrum
+                   in [0.5, 2]; draws n x n normals, factors k columns each.
     random_diag    seeded geometric spectrum with a solution built from a
                    decaying source element.
     """
@@ -91,8 +92,8 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
         rng = np.random.default_rng(seed)
         k = max(3, n // 4)
         sig = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
-        u_mat = _orthogonal(rng, n)[:, :k]
-        v_mat = _orthogonal(rng, n)[:, :k]
+        u_mat = _orthogonal(rng, n, k)
+        v_mat = _orthogonal(rng, n, k)
         op = SpectralOperator.from_matrix(u_mat @ (sig[:, None] * v_mat.T))
         d = rng.uniform(0.3, 1.0, op.n) * rng.choice([-1.0, 1.0], op.n)
         y = op.sigma * d

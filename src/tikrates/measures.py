@@ -37,18 +37,17 @@ class DiscreteMeasure:
     __slots__ = ("lambdas", "masses")
 
     def __init__(self, lambdas, masses):
-        lam = np.asarray(lambdas, dtype=float).reshape(-1)
-        m = np.asarray(masses, dtype=float).reshape(-1)
+        lam = np.array(lambdas, dtype=float).reshape(-1)
+        m = np.array(masses, dtype=float).reshape(-1)
         if lam.shape != m.shape:
             raise ValueError("locations and masses must have equal length")
         if lam.size:
-            if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(m))):
+            if not (np.isfinite(lam).all() and np.isfinite(m).all()):
                 raise ValueError("atoms must be finite")
-            if np.any(lam < 0.0):
+            if lam.min() < 0.0:
                 raise ValueError("atom locations must be non-negative")
-            if np.any(np.diff(lam) <= 0.0):
+            if not (lam[1:] > lam[:-1]).all():
                 raise ValueError("atom locations must be strictly increasing")
-        lam, m = lam.copy(), m.copy()
         lam.setflags(write=False)
         m.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)

@@ -186,6 +186,20 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--count", "10"],
+    ["check", "--instance", "identity", "--condition", "hvi", "--nu", "0.5"],
+    ["check", "--instance", "finite_rank", "--condition", "svi", "--nu", "1.0"],
+    ["rates", "--instance", "counter26", "--mode", "noisy"],
+    ["conformance", "--all"],
+])
+def test_negative_seed_is_refused_naming_the_option(argv, capsys):
+    assert main([*argv, "--seed", "-1", "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be a non-negative integer\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("condition, flag", [("hvi", "--beta"),
                                              ("ssc", "--gamma"),
                                              ("svi", "--beta"),

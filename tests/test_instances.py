@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tikrates as tk
+from tikrates.instances import _orthogonal
 
 
 @pytest.mark.parametrize("name", tk.INSTANCE_NAMES)
@@ -84,3 +85,37 @@ def test_battery_flags_a_wrong_expectation():
 def test_spectra_whose_squares_underflow_are_refused(name, n):
     with pytest.raises(ValueError, match="positive finite squares"):
         tk.build(name, n)
+
+
+def _full_orthogonal(rng, n):
+    """The sign-normalized full-square QR factor of one n x n normal draw."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("n", [16, 60, 900])
+def test_thin_orthogonal_is_the_leading_columns_of_the_full_factor(n):
+    k = max(3, n // 4)
+    thin_rng, full_rng = np.random.default_rng(n), np.random.default_rng(n)
+    thin = _orthogonal(thin_rng, n, k)
+    full = _full_orthogonal(full_rng, n)[:, :k]
+    assert thin.shape == (n, k)
+    np.testing.assert_allclose(thin, full, rtol=0, atol=1e-12)
+    # the whole n x n draw is consumed, so later draws are unchanged
+    assert thin_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n, seed", [(16, 0), (60, 1), (900, 7)])
+def test_finite_rank_matches_the_full_factor_build(n, seed):
+    # the reference factors both n x n draws in full and keeps k columns
+    rng = np.random.default_rng(seed)
+    k = max(3, n // 4)
+    sig = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
+    u_mat = _full_orthogonal(rng, n)[:, :k]
+    v_mat = _full_orthogonal(rng, n)[:, :k]
+    op = tk.SpectralOperator.from_matrix(u_mat @ (sig[:, None] * v_mat.T))
+    d = rng.uniform(0.3, 1.0, op.n) * rng.choice([-1.0, 1.0], op.n)
+    inst = tk.build("finite_rank", n, seed=seed)
+    assert inst.op.n == op.n == k
+    np.testing.assert_array_equal(inst.u_dagger.coeffs, d)
+    np.testing.assert_allclose(inst.op.sigma, op.sigma, rtol=1e-13, atol=0)

@@ -13,12 +13,30 @@ from tikrates.measures import (DiscreteMeasure, MeasurePremiseError,
 from tikrates.operators import vector_measure
 
 
+@pytest.mark.parametrize("lambdas, masses, message", [
+    ([1.0, 2.0], [1.0], "locations and masses must have equal length"),
+    ([1.0, np.inf], [1.0, 1.0], "atoms must be finite"),
+    ([np.nan, 1.0], [1.0, 1.0], "atoms must be finite"),
+    ([1.0, 2.0], [1.0, np.nan], "atoms must be finite"),
+    ([-1.0, np.inf], [1.0, 1.0], "atoms must be finite"),
+    ([-1.0], [1.0], "atom locations must be non-negative"),
+    ([-1.0, -2.0], [1.0, 1.0], "atom locations must be non-negative"),
+    ([1.0, 1.0], [1.0, 1.0], "atom locations must be strictly increasing"),
+    ([2.0, 1.0], [1.0, 1.0], "atom locations must be strictly increasing"),
+])
+def test_measure_refusals_and_their_precedence(lambdas, masses, message):
+    # finite comes before non-negative, which comes before increasing
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DiscreteMeasure(lambdas, masses)
+
+
 def test_measure_validation():
-    with pytest.raises(ValueError):
-        DiscreteMeasure([2.0, 1.0], [1.0, 1.0])  # not increasing
-    with pytest.raises(ValueError):
-        DiscreteMeasure([-1.0], [1.0])
-    mu = DiscreteMeasure([0.5, 1.0], [1.0, -2.0])
+    empty = DiscreteMeasure([], [])
+    assert len(empty) == 0 and empty.total_mass() == 0.0
+    lam = np.array([0.5, 1.0])
+    mu = DiscreteMeasure(lam, [1.0, -2.0])
+    lam[0] = 0.25  # the measure keeps its own copy
+    assert mu.lambdas[0] == 0.5 and not mu.lambdas.flags.writeable
     assert mu.signed
     assert mu.total_variation() == 3.0
     assert mu.total_mass() == -1.0

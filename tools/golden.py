@@ -21,7 +21,7 @@ under ``--noise random --trials 5``; ``rates --mode infimum`` plain, with
 package is imported from the ``src`` directory next to this script and the
 workloads are only read, so running the script from two checkouts and
 comparing the output directories with ``diff -r`` shows whether a change
-moved any output byte.
+moved any output byte; ``tools/golden_diff.py`` shows how far each moved.
 """
 
 from __future__ import annotations
