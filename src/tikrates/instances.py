@@ -56,9 +56,9 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
     C, R = cond.CERTIFIED, cond.REFUTED_AT_N
 
     if name == "counter26":
-        op = SpectralOperator.diagonal(2.0 ** -idx)
-        d = 2.0 ** (-idx / 2.0)
-        y = 2.0 ** (-1.5 * idx)
+        op = SpectralOperator.diagonal(np.exp2(-idx))
+        d = np.exp2(-idx / 2.0)
+        y = np.exp2(-1.5 * idx)
         expected = {(cond.STANDARD_SC, 0.5): R,
                     (cond.STANDARD_SC, 0.45): C,
                     (cond.STANDARD_SC, 0.4): C,
@@ -72,16 +72,16 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
         expected = {(cond.SPECTRAL_TAIL, 1.0): C,
                     (cond.IVI, 1.0): R}
     elif name == "remark_nu_gap":
-        op = SpectralOperator.diagonal(idx ** -2.0 * 2.0 ** -idx)
-        d = 2.0 ** (-idx / 2.0)
-        y = idx ** -2.0 * 2.0 ** (-1.5 * idx)
+        op = SpectralOperator.diagonal(idx ** -2.0 * np.exp2(-idx))
+        d = np.exp2(-idx / 2.0)
+        y = idx ** -2.0 * np.exp2(-1.5 * idx)
         expected = {(cond.STANDARD_SC, 0.45): C,
                     (cond.STANDARD_SC, 0.4): C,
                     (cond.STANDARD_SC, 0.3): C,
                     (cond.HVI, 0.5): R}
     elif name == "identity":
         op = SpectralOperator.diagonal(np.ones(n), truncated=False)
-        d = 2.0 ** (-idx / 2.0)
+        d = np.exp2(-idx / 2.0)
         y = d.copy()
         expected = {(cond.STANDARD_SC, p): C for p in (0.5, 1.0, 1.5, 2.0)}
         expected.update({(cond.HVI, p): C for p in (0.25, 0.5, 0.75, 1.0)})

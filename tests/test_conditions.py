@@ -86,6 +86,51 @@ def test_ssc_exact_operator_always_certifies():
             == tk.CERTIFIED
 
 
+# sigma_k = 1/k at n = 60: u = 1/k gives the terms k**(2 nu - 2), which
+# converge only below nu = 1/2; zeros inside the support must not hide that,
+# while a support that ends before the section leaves the verdict open
+def _harmonic_ssc_case(zero):
+    k = np.arange(1, 61, dtype=float)
+    u = 1.0 / k
+    u[zero(k)] = 0.0
+    op = tk.SpectralOperator.diagonal(1.0 / k)
+    return op, op.vector(u)
+
+
+# verdicts at nu = 0.25, 0.5, 1 and 2
+CRRR = (tk.CERTIFIED,) + (tk.REFUTED_AT_N,) * 3
+CIII = (tk.CERTIFIED,) + (tk.INCONCLUSIVE,) * 3
+
+
+@pytest.mark.parametrize("zero, verdicts", [
+    (lambda k: k < 0, CRRR),
+    (lambda k: k <= 10, CRRR),
+    (lambda k: k % 2 == 1, CRRR),
+    (lambda k: k % 2 == 0, CRRR),
+    (lambda k: k > 55, CIII),
+], ids=["full", "zero_head", "zero_odd", "zero_even", "support_ends"])
+def test_ssc_reads_growth_at_the_positive_terms(zero, verdicts):
+    op, u = _harmonic_ssc_case(zero)
+    for nu, want in zip((0.25, 0.5, 1.0, 2.0), verdicts):
+        rep = tk.check_standard_sc(op, u, nu)
+        assert rep.verdict == want, nu
+        assert all(np.isfinite(v) for v in rep.constants.values())
+
+
+@pytest.mark.parametrize("n", [60, 250])
+@pytest.mark.parametrize("zeros", [3, 6, 10, 20])
+def test_documented_ssc_verdicts_survive_a_zero_head(n, zeros):
+    for name in tk.INSTANCE_NAMES:
+        inst = tk.build(name, n)
+        coeffs = inst.u_dagger.coeffs.copy()
+        coeffs[:zeros] = 0.0
+        u = tk.CoeffVector(coeffs, inst.u_dagger.frame)
+        for (condition, nu), want in inst.expected.items():
+            if condition == tk.STANDARD_SC:
+                assert tk.check_standard_sc(inst.op, u, nu).verdict == want, \
+                    (name, nu)
+
+
 def test_ssc_parameter_validation():
     inst = tk.build("counter26", 20)
     for nu in (0.0, -0.5, 2.5):
@@ -444,6 +489,45 @@ def test_closed_range_equivalence_on_exact_instances():
         assert ssc.verdict == tk.CERTIFIED
 
 
+@st.composite
+def _diagonal_sections(draw):
+    """Small diagonal sections with ``k**-a`` or ``q**k`` spectra and
+    solutions, random signs, a leading zero run and periodic zeros."""
+    n = draw(st.integers(8, 40))
+    k = np.arange(1, n + 1, dtype=float)
+
+    def profile():
+        if draw(st.booleans()):
+            return k ** -draw(st.floats(0.25, 3.0))
+        return draw(st.floats(0.3, 0.95)) ** k
+
+    sigma, u = profile(), profile()
+    u *= draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    u[:draw(st.integers(0, n // 2))] = 0.0
+    period = draw(st.integers(1, 4))
+    if period > 1:
+        u[draw(st.integers(0, period - 1))::period] = 0.0
+    op = tk.SpectralOperator.diagonal(sigma)
+    return op, op.vector(u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_diagonal_sections(), nu=st.floats(0.05, 1.0))
+def test_checks_certify_only_with_finite_constants(case, nu):
+    op, u = case
+    for check in (tk.check_standard_sc, tk.check_hvi, tk.check_svi,
+                  tk.check_spectral_tail, tk.check_ivi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                rep = check(op, u, nu)
+            except ValueError:  # an explicit refusal
+                continue
+        if rep.verdict == tk.CERTIFIED:
+            assert all(np.isfinite(v) for v in rep.constants.values()), \
+                (check.__name__, rep.constants)
+
+
 def test_report_serialization_schema():
     inst = tk.build("counter26", 40)
     rep = tk.check_hvi(inst.op, inst.u_dagger, 0.5)
@@ -566,6 +650,15 @@ def test_random_probe_stream_matches_reference_on_zero_coefficients():
     coeffs[::3] = 0.0
     u = tk.CoeffVector(coeffs, inst.u_dagger.frame)
     _assert_t_family_matches_reference(inst.op, u, 1.0)
+
+
+def test_probe_families_are_the_documented_ones():
+    inst = tk.build("counter26", 60)
+    fams = cond.probe_families(inst.op, inst.u_dagger, 1.0)
+    labels = [f.label for f in fams]
+    assert labels == ["basis", "head", "head_flat", "head_inv_weight",
+                      "window4_inv_weight", "window8_inv_weight",
+                      "window16_inv_weight", "tail", "t_family"]
 
 
 def test_probe_families_ignore_the_seed():

@@ -2,16 +2,18 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 132 files into OUTDIR: ``conformance --all``; ``lemmas --count
+Writes 148 files into OUTDIR: ``conformance --all``; ``lemmas --count
 2000``; ``check`` on every documented (instance, condition, parameter) at
 n = 60; every invocation of the three benchmark workloads in
 ``perfbench/workloads.py`` at seed 1 (deep checks at n = 10^4 and 10^5,
 the rate sweeps with 100- to 200-point fit windows, and the lemma and dense
 finite_rank calls); harmonic4 hvi at nu = 1 and n = 10^5, where the needed
-constant grows like ``sqrt(log n)``; three operator JSON files, a diagonal
-section, a rank-3 integer matrix with two null directions and a full-rank
-square matrix, each with ambient data and each run through ``check
---condition hvi --nu 0.5`` and ``rates --mode noisy``; ``check --condition
+constant grows like ``sqrt(log n)``; five operator JSON files, three
+diagonal sections, a rank-3 integer matrix with two null directions and a
+full-rank square matrix, each with ambient data and each run through
+``check`` (hvi at nu = 0.5, ssc and svi at nu = 1.0) and ``rates --mode
+noisy``, where two of the diagonal sections hold the only svi refutations
+along the window probe families (see ``OPERATOR_FILES``); ``check --condition
 ivi --mu 1.0`` with one constant supplied and the other derived, on identity
 with ``--gamma 0.25`` and on harmonic4 with ``--beta 14``; and, on every
 named instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV and as CSV
@@ -46,9 +48,25 @@ BENCHMARK_SEED = 1
 # Operator files for the loader, each with ambient data in the range: a
 # diagonal section, a 6 x 5 integer matrix of rank 3 (two null directions
 # dropped), and a 3 x 3 matrix of full rank, whose row count equals its rank.
+# Two more diagonal sections pin the window probe families, which decide no
+# documented instance: on op_zero_head (u_k = 1/k past a zero head) svi at
+# nu = 1 is refuted along window8_inv_weight, else along window16_inv_weight;
+# on op_dented (u_k = k**-1.5 at even k only) only window16_inv_weight
+# refutes it.  Without those families both certify.
+K = range(1, 61)
+
+
+def _diagonal_file(sigma, u) -> dict:
+    return {"diagonal": sigma, "y": [s * v for s, v in zip(sigma, u)]}
+
+
 OPERATOR_FILES = {
     "op_diagonal": {"diagonal": [k ** -0.5 for k in range(1, 41)],
                     "y": [k ** -1.5 for k in range(1, 41)]},
+    "op_zero_head": _diagonal_file([1.0 / k for k in K],
+                                   [1.0 / k if k > 10 else 0.0 for k in K]),
+    "op_dented": _diagonal_file([k ** -1.5 for k in K],
+                                [k ** -1.5 if k % 2 == 0 else 0.0 for k in K]),
     "op_matrix": {"matrix": [[2, 1, 1, 2, 3], [1, 2, 1, 3, 1],
                              [1, 1, 2, 1, 2], [3, 1, 2, 2, 5],
                              [1, 3, 2, 4, 1], [2, 2, 2, 3, 3]],
@@ -88,6 +106,10 @@ def invocations(outdir: Path) -> list:
                      str(outdir / f"check_{stem}_hvi_0.5.json")])
         runs.append(["rates", "--instance", str(path), "--mode", "noisy",
                      "--output", str(outdir / f"rates_{stem}_noisy.json")])
+        for condition in ("ssc", "svi"):
+            runs.append(["check", "--instance", str(path), "--condition",
+                         condition, "--nu", "1.0", "--output",
+                         str(outdir / f"check_{stem}_{condition}_1.0.json")])
     for name, flag, value in ONE_CONSTANT_IVI:
         out = outdir / f"check_{name}_ivi_{flag[2:]}{value}.json"
         runs.append(["check", "--instance", name, "--n", str(N),
