@@ -24,7 +24,8 @@ coordinates (for the variational conditions this is backed by rigorous
 upper-bound constructions, not just sampling), ``RefutedAtN`` means an
 explicit witness family defeats every constant under a divergence proxy,
 and ``Inconclusive`` is the honest default when a finite section cannot
-distinguish slow convergence from divergence.
+distinguish slow convergence from divergence.  The checks read a truncated
+section's index as depth and refuse one whose singular values increase.
 
 The variational checks scan deterministic probe families: ordered
 structured families, which carry the refutations, and the extremal
@@ -66,7 +67,6 @@ SPECTRAL_TAIL = "spectral_tail"
 # throughout; the term-decay constants separate geometrically decaying tails
 # from flat and power-law ones at desk-scale truncations.
 GROWTH_SLOPE = 0.05
-FLAT_SUM_FRAC = 0.05
 GEO_TERM_SLOPE = -0.02
 POWER_FIT_RESID = 0.02
 POWER_DIVERGENT = -1.02
@@ -332,6 +332,14 @@ def _divergent(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
     return _grows(idx, val)
 
 
+def _require_depth_order(op: SpectralOperator) -> None:
+    """The checks read a truncated section's index as depth, so its singular
+    values must not increase; an exact operator has no depth to read."""
+    if op.truncated and np.any(op.sigma[1:] > op.sigma[:-1]):
+        raise ValueError("a truncated section must list its singular values "
+                         "in non-increasing order")
+
+
 def _decimate(xs, ys) -> list:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -351,13 +359,15 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     ``S_m = sum_{n <= m} sigma_n**(-2 nu) u_n**2``.
 
     On an exact finite operator the membership is unconditional and the
-    certificate norm is ``sqrt(S_N)``.  On a truncated section the tail
-    terms are classified: geometric decay certifies, flat or growing terms
-    and power-law tails with exponent at or above -1 refute, borderline
-    tails stay inconclusive.  A term ``u_n**2 sigma_n**(-2 nu)`` that
-    overflows raises ``ValueError``.
+    certificate norm is ``sqrt(S_N)``.  On a truncated section the terms
+    of the second half are classified: flat or growing terms under growing
+    sums and power-law terms with exponent at or above -1 refute; steeper
+    power laws, geometric decay, sums that stop growing and a negligible
+    remainder certify; other tails stay inconclusive.  A term
+    ``u_n**2 sigma_n**(-2 nu)`` that overflows raises ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2]")
+    _require_depth_order(op)
     _require_same_frame(u_dagger.frame, op.domain)
     d = u_dagger.coeffs
     n = op.n
@@ -383,11 +393,6 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
                              "unconditional",))
 
     lo_dec = max(1, -(-n // 10))  # ceil(n / 10), start of the last decade
-    tail_frac = float((total - partial[lo_dec - 1]) / total)
-    if tail_frac <= FLAT_SUM_FRAC:
-        return report(CERTIFIED, {"omega_norm": omega,
-                                  "tail_fraction": tail_frac})
-
     w0 = max(0, n // 2 - 1)
     t_w = terms[w0:]
     n_w = m_index[w0:].astype(float)
@@ -447,12 +452,16 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
 
     Evaluates ``T(lam) = ||E_[0,lam] u+||**2`` at every distinct squared
     singular value; the supremum of ``T / lam**nu`` over all lambda is
-    attained on those atoms.  Certification additionally requires the decay
-    exponent of ``T`` over the smallest spectral decades to reach ``nu``
-    within tolerance, so that the constant is stable under deeper truncation.
-    A ``lam**nu`` that underflows raises ``ValueError``.
+    attained on those atoms.  On a truncated section certification also
+    needs the log-log slope of ``T`` over the atoms up to 100 times the
+    lowest one with positive ``T`` to reach ``nu`` within tolerance, so
+    that the constant is stable under deeper truncation, unless the lower
+    half of the atoms carries no mass; a lower slope refutes if
+    ``T / lam**nu`` grows toward the low spectrum there.  A ``lam**nu``
+    that underflows raises ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2)")
+    _require_depth_order(op)
     _require_same_frame(u_dagger.frame, op.domain)
     lam_u, mass = _spectral_atoms(op, u_dagger.coeffs ** 2)
     t_cum = np.cumsum(mass)
@@ -487,9 +496,6 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
 
     lam_pos, t_pos = lam_u[pos], t_cum[pos]
     in_win = lam_pos <= 100.0 * lam_pos[0]
-    if np.count_nonzero(in_win) < 4:
-        in_win = np.zeros(lam_pos.size, dtype=bool)
-        in_win[: min(4, lam_pos.size)] = True
     lw, tw = lam_pos[in_win], t_pos[in_win]
     if lw.size < 2:
         return report(INCONCLUSIVE, {"C_hat": c_hat},
@@ -649,6 +655,7 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector,
     the t grid's spacing (within about 1e-4 relative).
     """
     nu = in_interval("nu", nu, "(0, 1]")
+    _require_depth_order(op)
     return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI,
                              probe_families(op, u_dagger, 1.0))
 
@@ -659,6 +666,7 @@ def check_svi(op: SpectralOperator, u_dagger: CoeffVector,
     same conventions as :func:`check_hvi` with the normal operator in place
     of the forward map, and the t-family built at ``rho = 2``."""
     nu = in_interval("nu", nu, "(0, 2]")
+    _require_depth_order(op)
     return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI,
                              probe_families(op, u_dagger, 2.0))
 
@@ -705,6 +713,7 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     needed beta diverges along an ordered family, defeating every constant.
     """
     mu = in_interval("mu", mu, "(0, 1]")
+    _require_depth_order(op)
     fams = probe_families(op, u_dagger, 1.0)
     if beta is None or gamma is None:
         hvi = _check_pairing_vi(op, u_dagger, mu / (2.0 - mu), 1.0, HVI, fams)

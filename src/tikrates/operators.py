@@ -2,9 +2,11 @@
 
 An operator is stored through its singular system.  Diagonal operators keep
 their singular values in the order given (index n = 1, 2, ...), which for the
-built-in instances is decreasing; dense operators are decomposed once and act
-in their singular bases afterwards.  Coefficient vectors are tied to a frame
-so that vectors from different operators cannot be mixed up silently.
+built-in instances is decreasing; the condition checks read that index as
+depth, so they refuse a truncated section whose singular values increase.
+Dense operators are decomposed once and act in their singular bases
+afterwards.  Coefficient vectors are tied to a frame so that vectors from
+different operators cannot be mixed up silently.
 
 Everything here is immutable after construction and all operations are pure
 functions, so the types are safe to share between threads.
@@ -344,11 +346,9 @@ def _spectral_atoms(op: SpectralOperator,
                     mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct squared singular values in increasing order, with the sum of
     ``mass`` (one entry per coordinate) over the coordinates at each."""
-    lam = op.lambdas
-    order = np.argsort(lam, kind="stable")
-    uniq, inverse = np.unique(lam[order], return_inverse=True)
+    uniq, inverse = np.unique(op.lambdas, return_inverse=True)
     merged = np.zeros_like(uniq)
-    np.add.at(merged, inverse, mass[order])
+    np.add.at(merged, inverse, mass)
     return uniq, merged
 
 

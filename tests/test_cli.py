@@ -172,6 +172,22 @@ def test_operator_file_off_range_data_exits_two(tmp_path, capsys):
     assert "not in range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("condition, flag", [
+    ("ssc", "--nu"), ("hvi", "--nu"), ("svi", "--nu"), ("tail", "--nu"),
+    ("ivi", "--mu")])
+def test_operator_file_with_increasing_sigma_exits_two(tmp_path, capsys,
+                                                       condition, flag):
+    k = range(12, 0, -1)
+    spec = {"diagonal": [2.0 ** -i for i in k],
+            "y": [2.0 ** (-1.5 * i) for i in k]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(spec))
+    code = main(["check", "--instance", str(path), "--condition", condition,
+                 flag, "0.5", "--no-timestamp"])
+    assert code == 2
+    assert "non-increasing order" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["check", "--condition", "hvi", "--nu", "0.5"]) == 2
     assert main(["check", "--instance", "counter26", "--condition", "hvi"]) == 2

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ def test_ssc_harmonic_power_law_split():
         == tk.REFUTED_AT_N
     assert tk.check_standard_sc(inst.op, inst.u_dagger, 0.5).verdict \
         == tk.CERTIFIED
+
+
+def test_ssc_certifies_noisy_power_law_terms_whose_sums_stop_growing():
+    # u_k = k**-1.5 with amplitudes in [0.4, 1] under sigma_k = 1/k lies in
+    # the range below nu = 1; the noisy terms fit neither a power law nor a
+    # geometric decay, so only the stalled partial sums certify
+    k = np.arange(1, 251, dtype=float)
+    op = tk.SpectralOperator.diagonal(1.0 / k)
+    u = op.vector(k ** -1.5 * np.random.default_rng(0).uniform(0.4, 1.0, 250))
+    for nu in (0.25, 0.5, 0.75):
+        rep = tk.check_standard_sc(op, u, nu)
+        assert rep.verdict == tk.CERTIFIED
+        assert rep.constants["power_resid"] > cond.POWER_FIT_RESID
+        assert rep.constants["term_slope"] > cond.GEO_TERM_SLOPE
+        assert rep.constants["sum_slope"] < cond.GROWTH_SLOPE
 
 
 def test_ssc_exact_operator_always_certifies():
@@ -417,6 +433,46 @@ def test_tail_parameter_validation():
     for nu in (0.0, 2.0):
         with pytest.raises(ValueError):
             tk.check_spectral_tail(inst.op, inst.u_dagger, nu)
+
+
+# Depth order -----------------------------------------------------------------
+
+# one parameter in the domain of each check
+DEPTH_PARAMS = {tk.STANDARD_SC: 0.4, tk.HVI: 0.5, tk.SVI: 1.0,
+                tk.SPECTRAL_TAIL: 0.5, tk.IVI: 1.0}
+
+
+def _reordered(name, order, truncated=True):
+    inst = tk.build(name, 60)
+    op = tk.SpectralOperator.diagonal(inst.op.sigma[order],
+                                      truncated=truncated)
+    return SimpleNamespace(op=op,
+                           u_dagger=op.vector(inst.u_dagger.coeffs[order]))
+
+
+# reversed, and sorted but for one adjacent pair deep in the section
+ORDERS = {"reversed": np.arange(60)[::-1],
+          "one_swap": np.r_[0:40, 41, 40, 42:60]}
+
+
+@pytest.mark.parametrize("condition", DEPTH_PARAMS)
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", ["counter26", "remark_nu_gap"])
+def test_checks_refuse_a_section_out_of_depth_order(name, order, condition):
+    inst = _reordered(name, ORDERS[order])
+    with pytest.raises(ValueError, match="non-increasing order"):
+        CHECKS[condition](inst, DEPTH_PARAMS[condition])
+
+
+@pytest.mark.parametrize("condition", DEPTH_PARAMS)
+def test_checks_accept_exact_sections_in_any_order_and_ties(condition):
+    exact = _reordered("counter26", ORDERS["reversed"], truncated=False)
+    assert CHECKS[condition](exact, DEPTH_PARAMS[condition]).verdict \
+        == tk.CERTIFIED
+    flat = tk.SpectralOperator.diagonal(np.ones(20))
+    ties = SimpleNamespace(op=flat,
+                           u_dagger=flat.vector(np.exp2(-np.arange(20))))
+    CHECKS[condition](ties, DEPTH_PARAMS[condition])
 
 
 # Cross-condition properties --------------------------------------------------

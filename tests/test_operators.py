@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tikrates as tk
-from tikrates.operators import apply, power_apply, spectral_projection_norm, \
-    vector_measure
+from tikrates.operators import _spectral_atoms, apply, power_apply, \
+    spectral_projection_norm, vector_measure
 
 
 def geometric_op(n=60):
@@ -216,6 +216,51 @@ def test_vector_measure_merges_coincident_singular_values():
     assert len(mu) == 2
     np.testing.assert_allclose(mu.lambdas, [0.25, 1.0])
     np.testing.assert_allclose(mu.masses, [5.0, 1.0])
+
+
+def _atoms_reference(lam, mass):
+    # sort stably, then add each run of ties in index order
+    order = np.argsort(lam, kind="stable")
+    atoms, merged = [], []
+    for x, m in zip(lam[order].tolist(), mass[order].tolist()):
+        if atoms and atoms[-1] == x:
+            merged[-1] += m
+        else:
+            atoms.append(x)
+            merged.append(0.0 + m)
+    return np.array(atoms), np.array(merged)
+
+
+def _tied_spectrum(seed):
+    # few distinct values in shuffled order, so most atoms merge several
+    # coordinates; masses of both signs and over 30 orders of magnitude
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    sig = rng.choice(rng.uniform(0.01, 3.0, int(rng.integers(1, 8))), n)
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-15.0, 15.0, n)
+    w = rng.standard_normal(n)
+    return tk.SpectralOperator.diagonal(sig), v, w
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spectral_atoms_equal_a_stable_sorted_reference(seed):
+    op, v, w = _tied_spectrum(seed)
+    lam, mass = _spectral_atoms(op, v * w)
+    ref_lam, ref_mass = _atoms_reference(op.lambdas, v * w)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(mass, ref_mass)
+    mu = vector_measure(op, op.vector(v), op.vector(w))
+    keep = ref_mass != 0.0
+    assert np.array_equal(mu.lambdas, ref_lam[keep])
+    assert np.array_equal(mu.masses, ref_mass[keep])
+
+
+def test_spectral_atoms_add_ties_in_index_order():
+    # in index order 1e16 + 1 rounds to 1e16 and the tie sums to 0;
+    # cancelling the two 1e16 first would leave 1
+    op = tk.SpectralOperator.diagonal([0.5, 1.0, 0.5, 0.5])
+    lam, mass = _spectral_atoms(op, np.array([1e16, 2.0, 1.0, -1e16]))
+    assert lam.tolist() == [0.25, 1.0]
+    assert mass.tolist() == [0.0, 2.0]
 
 
 def test_dense_singular_system_reproduces_action():
