@@ -384,8 +384,6 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
         return ConditionReport(STANDARD_SC, nu, verdict, constants, diag,
                                n, witness, tuple(notes))
 
-    if total == 0.0:
-        return report(CERTIFIED, {"omega_norm": 0.0})
     omega = float(np.sqrt(total))
     if not op.truncated:
         return report(CERTIFIED, {"omega_norm": omega},
@@ -541,12 +539,12 @@ def _split_upper_bound(op, d, nu, rho):
     return h[::-1]
 
 
-def _worst_probe(fams, score, truncated):
+def _worst_probe(fams, score, read_traces):
     """One scan of the probe families for the largest ``score(fam)`` entry.
 
     Returns ``(best, fam, k, scores, slope)``: the largest positive score
     (else 0, with ``fam`` None), located at ``fam.index[k]``, and ``slope``
-    None.  On a truncated section the scan stops at the first ordered family
+    None.  With ``read_traces`` the scan stops at the first ordered family
     whose scores diverge and returns that family's maximum and trace slope.
     """
     best, top = 0.0, (None, 0, None)
@@ -555,9 +553,7 @@ def _worst_probe(fams, score, truncated):
         k = int(np.argmax(scores))
         if scores[k] > best:
             best, top = float(scores[k]), (fam, k, scores)
-        # trace growth only signifies divergence on a truncated section;
-        # an exact finite problem always has a finite supremum
-        if fam.ordered and truncated:
+        if fam.ordered and read_traces:
             div, slope = _divergent(fam.index, scores)
             if div:
                 return best, fam, k, scores, slope
@@ -578,13 +574,17 @@ def _pairing_ratios(fam, expo):
 
 
 def _check_pairing_vi(op, u_dagger, nu, rho, condition, fams):
-    """Pairing-form check on the probe families ``fams`` built at ``rho``."""
+    """Pairing-form check on the probe families ``fams`` built at ``rho``:
+    ``beta`` is the split bound (``beta_direct``) where it stands, else half
+    of :func:`scr_to_vi_certificate` (``beta_from_tail``, with ``tail_C``)."""
     d = u_dagger.coeffs
     n = op.n
     if not np.any(d):
         return ConditionReport(condition, nu, CERTIFIED,
                                {"beta": 0.0, "beta_lower": 0.0}, [], n)
 
+    # trace growth only signifies divergence on a truncated section; an
+    # exact finite problem always has a finite supremum
     beta_lower, fam, k, ratios, slope = _worst_probe(
         fams, lambda f: _pairing_ratios(f, nu / rho), op.truncated)
     if slope is not None:
@@ -598,49 +598,45 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, fams):
     lower_witness = None if fam is None else {
         "family": fam.label, "index": int(fam.index[k]), "ratio": beta_lower}
 
-    candidates = {}
     h = _split_upper_bound(op, d, nu, rho)
     beta_direct = float(np.max(h))
-    if np.isfinite(beta_direct):
-        if not op.truncated:
-            candidates["beta_direct"] = beta_direct
-        else:
-            run_max = np.maximum.accumulate(h)
-            lo = _trace_window(n)
-            depth = np.arange(1, n + 1, dtype=float)[lo:]
-            vals = run_max[lo:]
-            if vals.size >= 2 and vals[0] > 0.0 and not _grows(depth, vals)[0]:
-                candidates["beta_direct"] = beta_direct
-
-    tail_c = None
-    if nu < min(rho, 2.0):
+    lo = _trace_window(n)
+    run_max = np.maximum.accumulate(h)[lo:]
+    route = {}
+    if np.isfinite(beta_direct) and (not op.truncated or (
+            run_max.size >= 2 and run_max[0] > 0.0
+            and not _grows(np.arange(lo + 1, n + 1), run_max)[0])):
+        route = {"beta_direct": beta_direct}
+    elif nu < min(rho, 2.0):
+        # a tail of constant C bounds every split value by half its doubled
+        # form, so the tail route decides only where the split bound fails
         try:
             tail_rep = check_spectral_tail(op, u_dagger, nu)
         except ValueError:  # lambda**nu underflows: no tail route
             tail_rep = None
         if tail_rep is not None and tail_rep.verdict == CERTIFIED:
             tail_c = tail_rep.constants["C"]
-            candidates["beta_from_tail"] = scr_to_vi_certificate(tail_c, nu, rho)
+            route = {"beta_from_tail":
+                     scr_to_vi_certificate(tail_c, nu, rho) / 2.0,
+                     "tail_C": tail_c}
 
     diag = _decimate(np.arange(1, n + 1), h)
-    if not candidates:
+    if not route:
         return ConditionReport(condition, nu, INCONCLUSIVE,
                                {"beta_lower": beta_lower}, diag, n,
                                witness=lower_witness,
                                notes=("no stable upper bound available at "
                                       "this truncation",))
-    beta = min(candidates.values())
+    beta = next(iter(route.values()))  # the constant the route certifies
     if beta < beta_lower * (1.0 - REL_SLACK):
         return ConditionReport(condition, nu, INCONCLUSIVE,
-                               {"beta_lower": beta_lower, **candidates},
+                               {"beta_lower": beta_lower, **route},
                                diag, n, witness=lower_witness,
                                notes=("upper bound fell below an observed "
                                       "ratio; numerical inconsistency",))
-    constants = {"beta": float(beta), "beta_lower": beta_lower, **candidates}
-    if tail_c is not None:
-        constants["tail_C"] = float(tail_c)
-    return ConditionReport(condition, nu, CERTIFIED, constants, diag, n,
-                           witness=lower_witness)
+    return ConditionReport(condition, nu, CERTIFIED,
+                           {"beta": beta, "beta_lower": beta_lower, **route},
+                           diag, n, witness=lower_witness)
 
 
 def check_hvi(op: SpectralOperator, u_dagger: CoeffVector,
@@ -648,7 +644,7 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector,
     """Check the homogeneous variational inequality at parameter ``nu``.
 
     The reported ``beta`` is the pairing-form constant, certified through
-    the smaller of the half-mass split bound and the spectral-tail route.
+    the half-mass split bound where it stands, else the spectral-tail route.
     ``beta_lower`` is the largest ratio on the probe families.  The
     supremum of the ratio lies on the curve of the t-family, so unless a
     structured family refutes first, ``beta_lower`` is that supremum up to
@@ -664,7 +660,8 @@ def check_svi(op: SpectralOperator, u_dagger: CoeffVector,
               nu: float) -> ConditionReport:
     """Check the symmetrized variational inequality at parameter ``nu``;
     same conventions as :func:`check_hvi` with the normal operator in place
-    of the forward map, and the t-family built at ``rho = 2``."""
+    of the forward map, and the split bound, the tail route and the
+    t-family built at ``rho = 2``."""
     nu = in_interval("nu", nu, "(0, 2]")
     _require_depth_order(op)
     return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI,
@@ -693,7 +690,8 @@ def _needed_beta(fam, mu, gamma):
             t_star = 2.0 * ip * (1.0 - mu) / ((2.0 - mu) * gamma * nrm ** 2)
             val = 2.0 * ip * t_star ** (1.0 - mu) - gamma * nrm ** 2 * t_star ** (2.0 - mu)
             need = val / pnm ** mu
-    need = np.where(ip > 0.0, need, 0.0)
+    # a probe whose rho-power norm underflows scores 0, as in the ratios
+    need = np.where((ip > 0.0) & (pnm > 0.0), need, 0.0)
     return np.where(np.isnan(need), 0.0, need)
 
 
@@ -701,46 +699,44 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
               beta: float | None = None,
               gamma: float | None = None) -> ConditionReport:
     """Verify inhomogeneous-inequality constants ``(beta, gamma)`` in the
-    doubled convention at parameter ``mu``.  A constant left ``None`` is
-    derived through the certificate chain on the same probe families: the
-    homogeneous check at ``nu = mu / (2 - mu)`` through
-    :func:`ivi_from_hvi_report` when it certifies, else ``beta = 4 (1 +
-    ||u+||)`` with ``gamma = 0`` at ``mu = 1`` and ``1/2`` below.
+    doubled convention at parameter ``mu``.
 
-    Every probe is swept over all positive scales (in closed form; the
-    inequality is not scale-invariant).  The verdict is ``RefutedAtN`` when
-    some probe needs a larger beta than the constants give, or when the
-    needed beta diverges along an ordered family, defeating every constant.
+    The inequality is equivalent to the homogeneous one at ``nu = mu / (2 -
+    mu)``, checked first on the same probe families; where that is refuted,
+    so is this one for any constants, with its witness.  A constant left
+    ``None`` is derived through :func:`ivi_from_hvi_report` when it
+    certifies, else ``beta = 4 (1 + ||u+||)`` with ``gamma = 0`` at ``mu =
+    1`` and ``1/2`` below.  Otherwise every probe is swept over all positive
+    scales (in closed form; the inequality is not scale-invariant), and the
+    verdict is ``RefutedAtN`` when some probe needs a larger beta than the
+    constants give.
     """
     mu = in_interval("mu", mu, "(0, 1]")
     _require_depth_order(op)
     fams = probe_families(op, u_dagger, 1.0)
-    if beta is None or gamma is None:
-        hvi = _check_pairing_vi(op, u_dagger, mu / (2.0 - mu), 1.0, HVI, fams)
-        if hvi.verdict == CERTIFIED:
-            derived = ivi_from_hvi_report(hvi)[1:]
-        else:
-            derived = 4.0 * (1.0 + u_dagger.norm()), 0.0 if mu == 1.0 else 0.5
-        beta = derived[0] if beta is None else beta
-        gamma = derived[1] if gamma is None else gamma
-    beta = in_interval("beta", beta, "[0, inf)")
-    gamma = in_interval("gamma", gamma, "[0, 1)")
+    hvi = _check_pairing_vi(op, u_dagger, mu / (2.0 - mu), 1.0, HVI, fams)
+    if hvi.verdict == CERTIFIED:
+        derived = ivi_from_hvi_report(hvi)[1:]
+    else:
+        derived = 4.0 * (1.0 + u_dagger.norm()), 0.0 if mu == 1.0 else 0.5
+    beta = in_interval("beta", derived[0] if beta is None else beta, "[0, inf)")
+    gamma = in_interval("gamma", derived[1] if gamma is None else gamma, "[0, 1)")
     n = op.n
+    if hvi.verdict == REFUTED_AT_N:
+        return ConditionReport(
+            IVI, mu, REFUTED_AT_N,
+            {"beta": beta, "gamma": gamma,
+             "trace_slope": hvi.constants["trace_slope"]},
+            hvi.diagnostics, n, witness=hvi.witness,
+            notes=("the equivalent homogeneous inequality at nu = "
+                   f"{hvi.parameter:.6g} is refuted along the family "
+                   f"{hvi.witness['family']!r}; no constants can hold",))
     if not np.any(u_dagger.coeffs):
         return ConditionReport(IVI, mu, CERTIFIED,
                                {"beta": beta, "gamma": gamma}, [], n)
 
-    worst_need, fam, k, need, slope = _worst_probe(
-        fams, lambda f: _needed_beta(f, mu, gamma), op.truncated)
-    if slope is not None:
-        return ConditionReport(
-            IVI, mu, REFUTED_AT_N,
-            {"beta": beta, "gamma": gamma,
-             "needed_beta": float(need[k]), "trace_slope": slope},
-            _decimate(fam.index, need), n,
-            witness=_witness(fam, k, needed_beta=float(need[k])),
-            notes=("needed beta grows without bound along the family "
-                   f"{fam.label!r}; no constants can hold",))
+    worst_need, fam, k, need, _ = _worst_probe(
+        fams, lambda f: _needed_beta(f, mu, gamma), read_traces=False)
     refuted = worst_need > beta * (1.0 + REL_SLACK) + 1e-12
     return ConditionReport(
         IVI, mu, REFUTED_AT_N if refuted else CERTIFIED,

@@ -147,6 +147,25 @@ def test_documented_ssc_verdicts_survive_a_zero_head(n, zeros):
                     (name, nu)
 
 
+@pytest.mark.parametrize("truncated", [True, False])
+def test_ssc_zero_solution_certifies_with_zero_norm(truncated):
+    op = tk.SpectralOperator.diagonal(1.0 / np.arange(1, 61),
+                                      truncated=truncated)
+    rep = tk.check_standard_sc(op, op.vector(np.zeros(60)), 0.5)
+    assert rep.verdict == tk.CERTIFIED
+    assert rep.constants == {"omega_norm": 0.0}
+
+
+def test_ssc_too_few_positive_tail_terms_is_inconclusive():
+    # one positive term in the second half, and it is not negligible
+    op = tk.SpectralOperator.diagonal(0.9 ** np.arange(1, 61))
+    u = np.zeros(60)
+    u[:5] = u[59] = 1.0
+    rep = tk.check_standard_sc(op, op.vector(u), 0.5)
+    assert rep.verdict == tk.INCONCLUSIVE
+    assert rep.notes == ("too few positive tail terms to classify",)
+
+
 def test_ssc_parameter_validation():
     inst = tk.build("counter26", 20)
     for nu in (0.0, -0.5, 2.5):
@@ -162,7 +181,30 @@ def test_hvi_geometric_instance_certified_below_paper_constant():
     assert rep.verdict == tk.CERTIFIED
     assert rep.constants["beta"] <= TWO_SQRT2
     assert rep.constants["beta_lower"] <= rep.constants["beta"] + 1e-12
-    assert rep.constants["tail_C"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
+def test_hvi_split_bound_decides_without_the_tail_route():
+    inst = tk.build("counter26", 60)
+    rep = tk.check_hvi(inst.op, inst.u_dagger, 0.5)
+    assert rep.constants["beta"] == rep.constants["beta_direct"]
+    assert "beta_from_tail" not in rep.constants
+    assert "tail_C" not in rep.constants
+
+
+def test_hvi_tail_route_decides_where_the_split_bound_fails():
+    # sigma_k = 1/k, u_k = 1/k past a zero head of 10: the split bound's
+    # running maximum still grows at n = 60, the tail of order 1 certifies
+    k = np.arange(1, 61)
+    op = tk.SpectralOperator.diagonal(1.0 / k)
+    u = op.vector(np.where(k > 10, 1.0 / k, 0.0))
+    rep = tk.check_hvi(op, u, 0.5)
+    assert rep.verdict == tk.CERTIFIED
+    assert "beta_direct" not in rep.constants
+    c_const = rep.constants["tail_C"]
+    assert c_const == tk.check_spectral_tail(op, u, 0.5).constants["C"]
+    assert rep.constants["beta"] == rep.constants["beta_from_tail"]
+    assert rep.constants["beta"] == tk.scr_to_vi_certificate(c_const, 0.5, 1.0) / 2.0
+    assert rep.constants["beta_lower"] <= rep.constants["beta"]
 
 
 def test_hvi_remark_instance_refuted_by_basis_vectors():
@@ -324,6 +366,41 @@ def test_ivi_zero_solution_certified():
     assert rep.verdict == tk.CERTIFIED
 
 
+# harmonic4 has tail order 1, so hvi holds below nu = 1 and short sections
+# still refute some; counter26 at n = 500 has probes whose power norm
+# underflows
+@pytest.mark.parametrize("name, n, mu", [
+    *[("harmonic4", n, mu) for n in (20, 60) for mu in (0.5, 2.0 / 3.0, 0.8)],
+    ("counter26", 500, 0.5),
+])
+def test_derived_ivi_agrees_with_the_equivalent_hvi(name, n, mu):
+    inst = tk.build(name, n)
+    hvi = tk.check_hvi(inst.op, inst.u_dagger, mu / (2.0 - mu))
+    rep = tk.check_ivi(inst.op, inst.u_dagger, mu)
+    assert rep.verdict == hvi.verdict
+    if hvi.verdict == tk.REFUTED_AT_N:
+        assert rep.witness == hvi.witness
+        assert rep.diagnostics == hvi.diagnostics
+        assert rep.constants["trace_slope"] == hvi.constants["trace_slope"]
+
+
+def test_ivi_scores_probes_with_an_underflowed_power_norm_zero():
+    inst = tk.build("counter26", 500)
+    fams = cond.probe_families(inst.op, inst.u_dagger, 1.0)
+    underflowed = 0
+    for fam in fams:
+        lost = (fam.ip > 0.0) & (fam.pnm == 0.0)
+        underflowed += np.count_nonzero(lost)
+        for gamma in (0.0, 0.25):
+            need = cond._needed_beta(fam, 0.5, gamma)
+            assert np.all(need[lost] == 0.0)
+            assert np.all(cond._pairing_ratios(fam, 1.0 / 3.0)[lost] == 0.0)
+    assert underflowed > 0
+    rep = tk.check_ivi(inst.op, inst.u_dagger, 0.5)
+    assert rep.verdict == tk.CERTIFIED
+    assert np.isfinite(rep.constants["needed_beta"])
+
+
 def test_ivi_parameter_validation():
     inst = tk.build("counter26", 20)
     with pytest.raises(ValueError):
@@ -428,6 +505,14 @@ def test_tail_refuted_above_the_true_order():
     assert rep.verdict == tk.REFUTED_AT_N
 
 
+def test_tail_zero_solution_certifies_where_lambda_power_underflows():
+    # lambda**1.9 underflows at the lowest atoms; a zero solution needs none
+    op = tk.SpectralOperator.diagonal(np.logspace(0.0, -100.0, 50))
+    rep = tk.check_spectral_tail(op, op.vector(np.zeros(50)), 1.9)
+    assert rep.verdict == tk.CERTIFIED
+    assert rep.constants == {"C": 0.0}
+
+
 def test_tail_parameter_validation():
     inst = tk.build("counter26", 20)
     for nu in (0.0, 2.0):
@@ -507,6 +592,37 @@ def test_certified_tail_constant_converts_into_both_inequalities():
             rep = checker(inst.op, inst.u_dagger, nu)
             assert rep.verdict == tk.CERTIFIED
             assert 2.0 * rep.constants["beta_lower"] <= beta * (1.0 + 1e-9)
+
+
+@st.composite
+def _exact_problems(draw):
+    """Exact diagonal problems with rho and a tail order nu < min(rho, 2).
+    Each coefficient is 0 or has a square far from underflow: the masses
+    are squares, the probe ratios are not."""
+    n = draw(st.integers(1, 30))
+    sigma = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+    u = draw(st.lists(coeff, min_size=n, max_size=n))
+    rho = draw(st.sampled_from([1.0, 2.0]))
+    nu = draw(st.floats(0.01, min(rho, 2.0), exclude_max=True))
+    op = tk.SpectralOperator.diagonal(sigma, truncated=False)
+    return op, op.vector(u), nu, rho
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_exact_problems())
+def test_tail_constant_bounds_every_split_value(case):
+    """``T(lam) <= C**2 lam**nu`` bounds each half-mass split value by
+    ``2 C / (1 - nu/rho)**(nu/(2 rho))``, half the doubled-form constant, so
+    the tail route can only decide where the split bound does not stand."""
+    op, u, nu, rho = case
+    tail = tk.check_spectral_tail(op, u, nu)
+    assert tail.verdict == tk.CERTIFIED
+    bound = tk.scr_to_vi_certificate(tail.constants["C"], nu, rho) / 2.0
+    h = cond._split_upper_bound(op, u.coeffs, nu, rho)
+    assert np.max(h) <= bound * (1.0 + 1e-12)
+    check = tk.check_hvi if rho == 1.0 else tk.check_svi
+    assert check(op, u, nu).constants["beta_lower"] <= bound * (1.0 + 1e-12)
 
 
 def test_scaling_invariance_of_verdicts_and_constants():
