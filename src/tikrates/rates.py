@@ -4,14 +4,15 @@ the power parameter choice ``alpha = delta**(2 - mu)``, and the projection
 argument showing off-range data perturbations do not move the solutions.
 
 Grids are swept through the closed-form spectral filters, so one singular
-system serves every (alpha, delta, trial) combination.  Random and in-range
-noise errors come from one pair of Gram products per sweep, over the whole
-alpha grid; they differ from a per-alpha norm of the perturbed error in the
-last bits only.
+system serves every (alpha, delta, trial) combination.  A sweep takes the
+alpha grid in blocks of about 2**16 entries, in O(n) memory, and scales u+
+and delta by a power of two, so no square underflows; random and in-range
+noise errors come from one pair of Gram products per block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,13 @@ def _check_grid(grid, decades: float, label: str) -> np.ndarray:
 def noise_free_rate(op: SpectralOperator, y, alpha_grid) -> RateFit:
     """Fit the decay order of the exact-data regularization error.
 
-    The error at each alpha is evaluated through the coefficientwise filter;
-    alphas below ``GRID_FLOOR_FACTOR`` times the smallest squared singular
-    value are clipped before fitting.
+    The error at each alpha is the norm of the filtered bias, row by row
+    over blocks of the alpha grid; alphas below ``GRID_FLOOR_FACTOR`` times
+    the smallest squared singular value are clipped before fitting.
     """
     alphas = _check_grid(alpha_grid, 4.0, "alpha")
     u_dag = min_norm_solution(op, y)
-    if u_dag.norm() == 0.0:
+    if not u_dag.coeffs.any():
         raise DegenerateGridError("zero data; fit rejected as degenerate")
     clipped = False
     if op.truncated:
@@ -157,56 +158,69 @@ def noise_free_rate(op: SpectralOperator, y, alpha_grid) -> RateFit:
         if alphas.size < 4:
             raise DegenerateGridError(
                 "alpha grid lies below the truncation floor")
-    lam = op.lambdas
-    filt = alphas[:, None] / (alphas[:, None] + lam[None, :])
-    errors = np.sqrt((filt ** 2) @ (u_dag.coeffs ** 2))
-    return _fit(alphas, errors, clipped)
+    rows = min(alphas.size, max(1, 2 ** 16 // op.n))
+    errors = _kernel(op, u_dag, None, rows)
+    errs = np.concatenate([np.ldexp(*errors(0.0, alphas[lo:lo + rows]))
+                           for lo in range(0, alphas.size, rows)])
+    return _fit(alphas, errs[:, 0], clipped)
+
+
+def _kernel(op, u_dag: CoeffVector, dirs: np.ndarray | None, rows: int):
+    """``errors(delta, alphas)`` of one sweep: the error times ``2**-e``, in
+    buffers the next call overwrites, for each (alpha, noise direction) of
+    at most ``rows`` alphas, and e, the exponent of max(max|u+|, delta).
+    Worst-case noise (``dirs`` None) is ``+-delta`` along each basis vector,
+    signed as the bias; at ``delta = 0`` a row is the bias's norm.  Seeded
+    directions ``e`` expand ``||b + delta r*e||**2`` into ``||b||**2 +
+    2 delta (b*r).e + delta**2 (r*r).(e*e)``."""
+    sig, lam, u = op.sigma, op.sigma ** 2, u_dag.coeffs
+    top = float(np.max(np.abs(u)))
+    e_top = math.frexp(top)[1]
+    u_top = np.ldexp(u, -e_top)
+    dirs_sq = None if dirs is None else dirs * dirs
+    den_buf, bias_buf = np.empty((rows, op.n)), np.empty((rows, op.n))
+
+    def errors(delta, alphas):
+        e = math.frexp(max(top, delta))[1]
+        delta = math.ldexp(delta, -e)
+        alphas = np.asarray(alphas, dtype=float)[:, None]
+        den = np.add(alphas, lam, out=den_buf[:alphas.size])
+        bias = np.divide(-alphas, den, out=bias_buf[:alphas.size])
+        bias *= u_top if e == e_top else np.ldexp(u, -e)
+        if delta == 0.0:  # np.linalg.norm's sum, without its temporary
+            return np.sqrt(np.square(bias, out=bias).sum(axis=1))[:, None], e
+        resp = np.divide(sig, den, out=den)
+        # a dot product per row: no output depends on the block size
+        bias_sq = np.array([b @ b for b in bias])[:, None]
+        if dirs is None:  # (delta r)**2 + 2 delta r |b| + ||b||**2
+            resp *= delta
+            np.multiply(np.abs(bias, out=bias), 2.0, out=bias)
+            bias *= resp
+            np.add(np.square(resp, out=resp), bias, out=resp)
+            return np.sqrt(np.add(resp, bias_sq, out=resp), out=resp), e
+        bias *= resp  # b*r and r*r overwrite their factors
+        resp *= resp
+        sq = ((bias @ dirs.T) * (2.0 * delta) + bias_sq
+              + delta ** 2 * (resp @ dirs_sq.T))
+        # cancellation can leave a rounding-sized negative square
+        return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq), e
+
+    return errors
 
 
 def _family_errors(op, u_dag: CoeffVector, delta, alphas,
                    dirs: np.ndarray | None) -> np.ndarray:
-    """Error for every (alpha, noise direction) pair, one row per alpha.
-
-    ``dirs`` comes from :meth:`NoiseModel.directions`.  Worst-case basis noise
-    (``dirs`` None) moves the data by ``+-delta`` along each basis direction
-    with the sign that aligns with the bias; at ``delta = 0`` every
-    direction leaves just the bias, so each row has a single column.
-    Seeded directions ``e`` expand ``||b + delta r*e||**2`` into
-    ``||b||**2 + 2 delta (b*r).e + delta**2 (r*r).(e*e)``: two matrix
-    products for the whole grid, with no ``(trials, n)`` array per alpha.
-    """
-    alphas = np.asarray(alphas, dtype=float)[:, None]
-    lam = op.sigma ** 2
-    bias = -alphas / (alphas + lam) * u_dag.coeffs
-    if delta == 0.0:
-        return np.linalg.norm(bias, axis=1)[:, None]
-    resp = op.sigma / (alphas + lam)
-    # a dot product per row, not a summed square: it keeps the noisy
-    # sweep's outputs to the last bit
-    bias_sq = np.array([b @ b for b in bias])[:, None]
-    if dirs is None:
-        gain = (delta * resp) ** 2 + 2.0 * delta * resp * np.abs(bias)
-        gain += bias_sq
-        return np.sqrt(gain, out=gain)
-    # b*r and r*r overwrite their factors, so no third (alphas, n) array
-    bias *= resp
-    resp *= resp
-    sq = bias @ dirs.T
-    sq *= 2.0 * delta
-    sq += bias_sq
-    sq += delta ** 2 * (resp @ (dirs * dirs).T)
-    # cancellation can leave a rounding-sized negative square
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq, out=sq)
+    """Every (alpha, noise direction) error, the grid as one kernel block."""
+    return np.ldexp(*_kernel(op, u_dag, dirs, len(alphas))(delta, alphas))
 
 
 def _noisy_errors(op, u_dag: CoeffVector, delta, alpha,
-                  dirs: np.ndarray | None):
+                  dirs: np.ndarray | None, kernel=None):
     """Worst error over the noise family at one (delta, alpha); returns
-    (error, witness index)."""
-    errs = _family_errors(op, u_dag, delta, [alpha], dirs)[0]
-    k = int(np.argmax(errs))
-    return float(errs[k]), k
+    (error, witness index).  A sweep passes its one-row ``kernel``."""
+    errs, e = (kernel or _kernel(op, u_dag, dirs, 1))(delta, [alpha])
+    k = int(np.argmax(errs[0]))
+    return math.ldexp(float(errs[0, k]), e), k
 
 
 def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
@@ -218,10 +232,11 @@ def noisy_sweep_rows(op: SpectralOperator, y, delta_grid, mu: float,
     deltas = _check_grid(delta_grid, 3.0, "delta")
     u_dag = min_norm_solution(op, y)
     dirs = noise.directions(op, trials)
+    kernel = _kernel(op, u_dag, dirs, 1)
     rows = []
     for delta in deltas:
         alpha = delta ** (2.0 - mu)
-        err, k = _noisy_errors(op, u_dag, delta, alpha, dirs)
+        err, k = _noisy_errors(op, u_dag, delta, alpha, dirs, kernel)
         rows.append((float(delta), err, float(alpha), k))
     return rows
 
@@ -242,17 +257,22 @@ def infimum_rate(op: SpectralOperator, y, delta: float, noise: NoiseModel,
                  alpha_grid, trials: int | None = None) -> float:
     """Worst over the noise family of the best error over the alpha grid.
 
-    Refining the alpha grid can only lower the value; it never exceeds the
-    error of any single parameter choice on the same grid.
+    Refining the grid can only lower it, and it never exceeds the error of
+    any one alpha; at ``delta = 0`` it is the least noise-free error.
     """
     delta = in_interval("delta", delta, "[0, inf)")
     alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     if alphas.size == 0 or not np.all((alphas > 0.0) & (alphas < np.inf)):
         raise DegenerateGridError(
             "alpha grid must be positive, finite and non-empty")
-    errs = _family_errors(op, min_norm_solution(op, y), delta, alphas,
-                          noise.directions(op, trials))
-    return float(errs.min(axis=0).max())
+    rows = min(alphas.size, max(1, 2 ** 16 // op.n))
+    errors = _kernel(op, min_norm_solution(op, y),
+                     noise.directions(op, trials), rows)
+    best = np.inf
+    for lo in range(0, alphas.size, rows):
+        errs, e = errors(delta, alphas[lo:lo + rows])
+        best = np.minimum(best, np.ldexp(errs.min(axis=0), e))
+    return float(best.max())
 
 
 @dataclass(frozen=True)

@@ -228,20 +228,101 @@ def test_family_errors_match_the_per_alpha_loop_at_deep_truncation():
             assert np.max(np.abs(errs - ref) / ref) <= 1e-13
 
 
+def _tracemalloc_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_family_errors_hold_no_per_alpha_temporaries():
     inst = tk.build("harmonic4", 10_000)
     u_dag = min_norm_solution(inst.op, inst.y)
     alphas = np.logspace(-10.0, -4.0, 200)
     dirs = NoiseModel(kind=tk.RANDOM_SPHERE, seed=1).directions(inst.op, 32)
-    tracemalloc.start()
-    try:
-        _family_errors(inst.op, u_dag, 1e-3, alphas, dirs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # three (200, 10^4) float arrays are 48 MB: the bias, the response and
-    # the denominator they share while the response is formed
+    peak = _tracemalloc_peak(
+        lambda: _family_errors(inst.op, u_dag, 1e-3, alphas, dirs))
+    # the grid is one block here: two (200, 10^4) buffers are 32 MB
     assert peak <= 50e6
+
+
+def test_rate_sweeps_hold_o_of_n_memory():
+    # one (200, 10^4) array is 16 MB; the alpha blocks hold about 2**16
+    # entries each, and 32 random directions with their squares 5.1 MB
+    inst = tk.build("harmonic4", 10_000)
+    alphas = np.logspace(-10.0, -4.0, 200)
+    worst = NoiseModel(kind=tk.WORST_CASE_BASIS)
+    rand = NoiseModel(kind=tk.RANDOM_SPHERE, seed=1)
+    peaks = [
+        _tracemalloc_peak(lambda: infimum_rate(inst.op, inst.y, 1e-3, worst,
+                                               alphas)),
+        _tracemalloc_peak(lambda: infimum_rate(inst.op, inst.y, 1e-3, rand,
+                                               alphas, 32)),
+        _tracemalloc_peak(lambda: noise_free_rate(
+            inst.op, inst.y, np.logspace(-3.0, 2.0, 200))),
+    ]
+    assert max(peaks) <= 10e6, peaks
+
+
+def _whole_grid_noise_free(op, u_dag, alphas):
+    """Noise-free errors as one (alphas, n) array, a norm per row."""
+    a = alphas[:, None]
+    return np.linalg.norm(-a / (a + op.sigma ** 2) * u_dag.coeffs, axis=1)
+
+
+@pytest.mark.parametrize("n, points", [(10_000, 7), (10_000, 200),
+                                       (70_000, 9)])
+def test_alpha_blocks_match_the_whole_grid_to_the_bit(n, points):
+    # 2**16 entries make blocks of 6 rows at n = 10^4, so 7 and 200 points
+    # end on a partial block, and of one row at n = 70000
+    inst = tk.build("harmonic4", n)
+    u_dag = min_norm_solution(inst.op, inst.y)
+    alphas = np.logspace(-2.0, 2.0, points)
+    worst = NoiseModel(kind=tk.WORST_CASE_BASIS)
+    fit = noise_free_rate(inst.op, inst.y, alphas)
+    errors = np.array([err for _, err in fit.grid])
+    assert np.array_equal(errors, _whole_grid_noise_free(inst.op, u_dag,
+                                                         alphas))
+    # at delta = 0 the infimum is the least noise-free error
+    assert infimum_rate(inst.op, inst.y, 0.0, worst, alphas) == errors.min()
+    for delta in (0.0, 1e-4, 1e-2):
+        whole = _family_errors(inst.op, u_dag, delta, alphas, None)
+        assert (infimum_rate(inst.op, inst.y, delta, worst, alphas)
+                == whole.min(axis=0).max())
+
+
+@pytest.mark.parametrize("kind", [tk.RANDOM_SPHERE, tk.IN_RANGE])
+def test_alpha_blocks_match_the_whole_grid_under_random_noise(kind):
+    inst = tk.build("harmonic4", 10_000)
+    u_dag = min_norm_solution(inst.op, inst.y)
+    noise = NoiseModel(kind=kind, seed=2)
+    dirs = noise.directions(inst.op)
+    for points in (7, 200):
+        alphas = np.logspace(-10.0, -4.0, points)
+        for delta in (1e-4, 1e-3):
+            whole = _family_errors(inst.op, u_dag, delta, alphas, dirs)
+            ref = whole.min(axis=0).max()
+            val = infimum_rate(inst.op, inst.y, delta, noise, alphas)
+            assert abs(val - ref) <= 1e-15 * ref
+
+
+def test_rates_are_scale_invariant_down_to_underflow():
+    # squares of u+ * 1e-160 underflow unless the kernels scale the data;
+    # at 1e-170 even the norm of u+ does
+    inst = tk.build("counter26", 60)
+    worst = NoiseModel(kind=tk.WORST_CASE_BASIS)
+    slopes, infima = [], []
+    for scale in (1.0, 1e-160, 1e-170):
+        y = inst.op.data_vector(inst.y.coeffs * scale)
+        fit = noise_free_rate(inst.op, y, np.logspace(-10, -4, 25))
+        slopes.append(fit.slope)
+        infima.append(infimum_rate(inst.op, y, 1e-4 * scale, worst,
+                                   np.logspace(-9, -2, 40)) / scale)
+    assert slopes[0] == pytest.approx(0.25, abs=0.03)
+    assert slopes[1:] == pytest.approx([slopes[0]] * 2, rel=1e-12)
+    assert infima[1:] == pytest.approx([infima[0]] * 2, rel=1e-12)
 
 
 def test_infimum_rate_never_exceeds_power_rule_choice():
