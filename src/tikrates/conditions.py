@@ -318,12 +318,13 @@ def _grows(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
 
 
 def _divergent(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
-    """Divergence proxy: positive, non-decreasing values over the trace
-    window that grow by :func:`_grows`."""
+    """Divergence proxy for finite scores, such as the pairing ratios:
+    positive, non-decreasing values over the trace window that grow by
+    :func:`_grows`."""
     lo = _trace_window(len(values))
     idx = np.asarray(index, dtype=float)[lo:]
     val = values[lo:]
-    if val.size < _MIN_FIT_POINTS or np.any(val <= 0.0) or not np.all(np.isfinite(val)):
+    if val.size < _MIN_FIT_POINTS or np.any(val <= 0.0):
         return False, 0.0
     if np.any(np.diff(val) < -REL_SLACK * val[:-1]):
         return False, 0.0
@@ -522,7 +523,7 @@ def _split_upper_bound(op, d, nu, rho):
     """Rigorous pairing-form constant from the half-mass split applied to
     the coefficient sums: ``2 * max_k G_k**(nu/(2 rho)) * T_k**((1-nu/rho)/2)``
     with ``G`` the inverse-weighted mass above an atom and ``T`` the plain
-    mass at or below it.  Returns the bound and its per-depth trace.
+    mass at or below it.  Returns the per-depth trace; its max is the bound.
     """
     lam = op.lambdas
     order = np.argsort(lam, kind="stable")

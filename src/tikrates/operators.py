@@ -15,6 +15,7 @@ functions, so the types are safe to share between threads.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,11 +268,14 @@ class SpectralOperator:
             return CoeffVector(y, self.data), 0.0
         if y.shape[0] != self.matrix.shape[0]:
             raise ValueError("ambient data length does not match matrix rows")
+        # at the power of two of max|y| no product or square underflows
+        e = math.frexp(float(np.max(np.abs(y))))[1]
+        y = np.ldexp(y, -e)
         coeffs = self._u_range.T @ y
         # explicit residual: a difference of squared norms would lose half
         # the significant digits to cancellation
         off = float(np.linalg.norm(y - self._u_range @ coeffs))
-        return CoeffVector(coeffs, self.data), off
+        return CoeffVector(np.ldexp(coeffs, e), self.data), math.ldexp(off, e)
 
     def ambient_from_data(self, y: CoeffVector) -> np.ndarray:
         self._require_dense()

@@ -11,6 +11,7 @@ alternatively be solved through its normal equations
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -96,7 +97,10 @@ def min_norm_solution(op: SpectralOperator, y) -> CoeffVector:
     rejected; smaller mass is zeroed with a logged warning.
     """
     coeffs, off = _as_data_coeffs(op, y)
-    ynorm = float(np.hypot(np.linalg.norm(coeffs), off))
+    # the norm at the power of two of the largest entry: no square underflows
+    e = math.frexp(max(float(np.max(np.abs(coeffs))), off))[1]
+    ynorm = math.ldexp(float(np.hypot(np.linalg.norm(np.ldexp(coeffs, -e)),
+                                      math.ldexp(off, -e))), e)
     if off > RANGE_RTOL * max(ynorm, 1e-300):
         raise NotInRangeError(
             f"data not in range: off-range mass {off:.3e} (norm {ynorm:.3e})")

@@ -833,6 +833,60 @@ def test_probe_families_are_the_documented_ones():
                       "window16_inv_weight", "tail", "t_family"]
 
 
+def _without_every_third(u):
+    u = u.copy()
+    u[2::3] = 0.0  # k = 3, 6, 9, ...
+    return u
+
+
+_K60, _K250, _K1000 = (np.arange(1, n + 1, dtype=float)
+                       for n in (60, 250, 1000))
+
+
+# Each structured family decides a verdict that no other does: without it
+# the refutation below moves.  Truth from the closed forms, nu* = p for
+# sigma = q**k, u = q**(pk) and nu* = (2b - 1) / (2a) for sigma = k**-a,
+# u = k**-b (zero heads and zeros on every third term change neither): the
+# refutations hold, nu > nu*, except in the head_flat and window8 cases,
+# which sit at nu = nu* and so pin the current growth rule, not the truth.
+_FAMILY_CASES = [
+    ("basis", 0.8 ** _K1000, 0.8 ** (_K1000 / 4.0), tk.check_svi, 0.5,
+     tk.CERTIFIED),
+    ("head", 0.95 ** _K250, _without_every_third(0.95 ** (_K250 / 2.0)),
+     tk.check_hvi, 0.75, tk.CERTIFIED),
+    ("head_flat", _K60 ** -0.5, _K60 ** -1.5, tk.check_svi, 2.0,
+     tk.INCONCLUSIVE),
+    ("head_inv_weight", 1.0 / _K60, _without_every_third(1.0 / _K60),
+     tk.check_svi, 1.0, tk.CERTIFIED),
+    ("window4_inv_weight", 0.5 ** _K60, _without_every_third(0.5 ** _K60),
+     tk.check_svi, 1.5, tk.INCONCLUSIVE),
+    ("window8_inv_weight", 0.8 ** _K60,
+     np.where(_K60 > 10, 0.8 ** (_K60 / 4.0), 0.0), tk.check_hvi, 0.25,
+     tk.CERTIFIED),
+    ("window16_inv_weight", 1.0 / _K60, _K60 ** -1.5, tk.check_svi, 1.5,
+     tk.CERTIFIED),
+    ("tail", 0.5 ** _K60, np.where(_K60 > 10, 0.5 ** _K60, 0.0),
+     tk.check_svi, 1.5, tk.INCONCLUSIVE),
+]
+
+
+@pytest.mark.parametrize("family, sigma, u, check, nu, without",
+                         _FAMILY_CASES, ids=[c[0] for c in _FAMILY_CASES])
+def test_each_structured_family_decides_a_verdict(family, sigma, u, check,
+                                                   nu, without, monkeypatch):
+    op = tk.SpectralOperator.diagonal(sigma)
+    u = op.vector(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check(op, u, nu)
+        assert rep.verdict == tk.REFUTED_AT_N
+        assert rep.witness["family"] == family
+        build_families = cond.probe_families
+        monkeypatch.setattr(cond, "probe_families", lambda *a, **kw: [
+            f for f in build_families(*a, **kw) if f.label != family])
+        assert check(op, u, nu).verdict == without
+
+
 def test_probe_families_ignore_the_seed():
     inst = tk.build("random_diag", 60, seed=3)
     a = cond.probe_families(inst.op, inst.u_dagger, 1.0, seed=0)

@@ -1,5 +1,7 @@
 """Tests for the minimum-norm and regularized solvers and the error bound."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ def test_min_norm_zeroes_tiny_out_of_range_mass_with_warning():
         u = min_norm_solution(op, noisy)
     ref = min_norm_solution(op, clean)
     np.testing.assert_allclose(u.coeffs, ref.coeffs, rtol=1e-10)
+
+
+@pytest.mark.parametrize("off_range", [0.0, 5.5e-13], ids=["in", "off"])
+def test_min_norm_range_test_does_not_depend_on_the_data_scale(off_range):
+    # finite_rank at n = 40 keeps 10 directions; an off-range part of
+    # 5.5e-13 relative is above RANGE_RTOL, and its squares underflow once
+    # the data is scaled by 1e-150
+    inst = tk.build("finite_rank", 40, seed=1)
+    op = inst.op
+    clean = op.ambient_from_data(inst.y)
+    y = clean + off_range * np.linalg.norm(clean) \
+        * op.null_data_directions()[:, 0]
+    for scale in (1.0, 1e-150, 1e-160, 1e-170):
+        if off_range:
+            with pytest.raises(tk.NotInRangeError, match="not in range"):
+                min_norm_solution(op, scale * y)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u = min_norm_solution(op, scale * y)
+            np.testing.assert_allclose(u.coeffs, scale * inst.u_dagger.coeffs,
+                                       rtol=1e-10)
 
 
 def test_solve_identity_operator_closed_form():
