@@ -46,7 +46,8 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
                    inequality at 1/2 is defeated by basis vectors.
     identity       unit spectrum, well-posed; everything certifies.
     finite_rank    dense n x n operator of rank k = max(3, n // 4), spectrum
-                   in [0.5, 2]; draws n x n normals, factors k columns each.
+                   in [0.5, 2]; draws n x n normals, factors k columns each,
+                   and keeps the drawn singular system (no SVD).
     random_diag    seeded geometric spectrum with a solution built from a
                    decaying source element.
     """
@@ -94,7 +95,8 @@ def build(name: str, n: int = 60, seed: int = 0) -> NamedInstance:
         sig = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
         u_mat = _orthogonal(rng, n, k)
         v_mat = _orthogonal(rng, n, k)
-        op = SpectralOperator.from_matrix(u_mat @ (sig[:, None] * v_mat.T))
+        op = SpectralOperator._dense(u_mat @ (sig[:, None] * v_mat.T),
+                                     u_mat, sig, v_mat.T)
         d = rng.uniform(0.3, 1.0, op.n) * rng.choice([-1.0, 1.0], op.n)
         y = op.sigma * d
         expected = {(cond.STANDARD_SC, 0.5): C,

@@ -115,11 +115,11 @@ class SpectralOperator:
 
     __slots__ = (
         "kind", "sigma", "truncated", "dropped",
-        "domain", "data", "matrix", "_u_range", "_u_null", "_vt_range",
+        "domain", "data", "matrix", "_u_range", "_vt_range",
     )
 
     def __init__(self, *, kind, sigma, truncated, dropped,
-                 matrix=None, u_range=None, u_null=None, vt_range=None):
+                 matrix=None, u_range=None, vt_range=None):
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 1 or sigma.size == 0:
             raise ValueError("need at least one singular value")
@@ -145,7 +145,6 @@ class SpectralOperator:
             object.__setattr__(self, "data", Frame(n, f"{tag}-data"))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_u_range", u_range)
-        object.__setattr__(self, "_u_null", u_null)
         object.__setattr__(self, "_vt_range", vt_range)
 
     def __setattr__(self, name, value):
@@ -177,47 +176,63 @@ class SpectralOperator:
     def from_matrix(cls, matrix) -> "SpectralOperator":
         """Exact (not truncated) operator given by a dense real matrix.
 
-        The singular system is computed once; directions with singular value
-        below ``DROP_RTOL`` times the largest are removed and logged.  The
-        stored system is verified to reproduce the matrix action to
-        ``DENSE_CHECK_RTOL`` relative error on seeded random vectors.
+        The singular system is computed once, by a thin SVD, so an m x n
+        matrix never builds an m x m or n x n factor.  Directions with
+        singular value below ``DROP_RTOL`` times the largest are removed,
+        and the rest is verified as in :meth:`_dense`.
         """
         mat = np.array(matrix, dtype=float, copy=True)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("matrix must be two-dimensional and non-empty")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
-        mat.setflags(write=False)
-        u, s, vt = np.linalg.svd(mat, full_matrices=True)
-        if s.size == 0 or s[0] == 0.0:
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        if s[0] == 0.0:
             raise ValueError("matrix is identically zero")
-        keep = s > DROP_RTOL * s[0]
-        k = int(np.count_nonzero(keep))
-        dropped = s.size - k
+        k = int(np.count_nonzero(s > DROP_RTOL * s[0]))
+        return cls._dense(mat, u[:, :k].copy(), s[:k], vt[:k, :].copy())
+
+    @classmethod
+    def _dense(cls, matrix, u_range, sigma, vt_range) -> "SpectralOperator":
+        """Exact operator for ``matrix = u_range @ diag(sigma) @ vt_range``,
+        from a singular system the caller already holds.
+
+        The directions of the smaller matrix side beyond ``sigma`` are counted
+        in ``dropped`` and logged.  The arrays are kept read-only, and the
+        system is verified on seeded random vectors: it must reproduce the
+        matrix action, and both factors must have orthonormal columns, each
+        to ``DENSE_CHECK_RTOL`` relative error.
+        """
+        for a in (matrix, u_range, vt_range):
+            a.setflags(write=False)
+        dropped = min(matrix.shape) - len(sigma)
         if dropped:
             logger.info("dense operator: dropped %d null directions "
                         "(sigma below %.1e * sigma_max)", dropped, DROP_RTOL)
-        u_range = u[:, :k].copy()
-        u_null = u[:, k:].copy()
-        vt_range = vt[:k, :].copy()
-        for a in (u_range, u_null, vt_range):
-            a.setflags(write=False)
-        op = cls(kind="dense", sigma=s[:k], truncated=False, dropped=dropped,
-                 matrix=mat, u_range=u_range, u_null=u_null, vt_range=vt_range)
+        op = cls(kind="dense", sigma=sigma, truncated=False, dropped=dropped,
+                 matrix=matrix, u_range=u_range, vt_range=vt_range)
         op._verify_singular_system()
         return op
 
     def _verify_singular_system(self) -> None:
         rng = np.random.default_rng(0)
         scale = float(self.sigma[0])
+        u, vt = self._u_range, self._vt_range
         for _ in range(4):
             x = rng.standard_normal(self.matrix.shape[1])
             direct = self.matrix @ x
-            via = self._u_range @ (self.sigma * (self._vt_range @ x))
+            via = u @ (self.sigma * (vt @ x))
             err = np.linalg.norm(direct - via)
             if err > DENSE_CHECK_RTOL * max(scale * np.linalg.norm(x), 1e-300):
                 raise ValueError("singular system fails to reproduce the matrix "
                                  f"action (error {err:.2e})")
+            # the leading k entries probe the k columns of U and of V
+            z = x[:self.n]
+            for side, f in (("left", u), ("right", vt.T)):
+                err = np.linalg.norm(f.T @ (f @ z) - z)
+                if err > DENSE_CHECK_RTOL * max(np.linalg.norm(z), 1e-300):
+                    raise ValueError(f"{side} singular vectors are not "
+                                     f"orthonormal (error {err:.2e})")
 
     # Accessors ---------------------------------------------------------------
 
@@ -293,9 +308,15 @@ class SpectralOperator:
         return CoeffVector(self._vt_range @ x, self.domain)
 
     def null_data_directions(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the complement of the retained range."""
+        """Orthonormal basis (columns) of the complement of the retained range.
+
+        Not stored: each call completes the retained left singular basis by a
+        full QR of the m x k factor, which costs O(m**2 k) time and builds an
+        m x m array.
+        """
         self._require_dense()
-        return self._u_null
+        q = np.linalg.qr(self._u_range, mode="complete")[0]
+        return q[:, self.n:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SpectralOperator(kind={self.kind!r}, n={self.n}, "

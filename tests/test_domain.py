@@ -159,6 +159,14 @@ REJECTIONS = {
     "matrix-all-zero": (
         lambda tmp: tk.SpectralOperator.from_matrix(np.zeros((3, 2))),
         "identically zero"),
+    # the matrix is formed from the scaled factors, so it reproduces its own
+    # action; only the orthonormality probe sees the scaling
+    "dense-scaled-left-factor": (
+        lambda tmp: tk.SpectralOperator._dense(
+            (1.01 * DENSE.op._u_range) @ (DENSE.op.sigma[:, None]
+                                          * DENSE.op._vt_range),
+            1.01 * DENSE.op._u_range, DENSE.op.sigma, DENSE.op._vt_range),
+        "left singular vectors are not orthonormal"),
     "ambient-wrong-length": (
         lambda tmp: DENSE.op.data_from_ambient(np.ones(Y_AMB.size + 1)),
         "does not match matrix rows"),

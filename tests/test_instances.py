@@ -113,9 +113,12 @@ def test_finite_rank_matches_the_full_factor_build(n, seed):
     sig = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
     u_mat = _full_orthogonal(rng, n)[:, :k]
     v_mat = _full_orthogonal(rng, n)[:, :k]
-    op = tk.SpectralOperator.from_matrix(u_mat @ (sig[:, None] * v_mat.T))
+    mat = u_mat @ (sig[:, None] * v_mat.T)
+    op = tk.SpectralOperator.from_matrix(mat)
     d = rng.uniform(0.3, 1.0, op.n) * rng.choice([-1.0, 1.0], op.n)
     inst = tk.build("finite_rank", n, seed=seed)
     assert inst.op.n == op.n == k
+    assert inst.op.dropped == op.dropped == n - k
     np.testing.assert_array_equal(inst.u_dagger.coeffs, d)
     np.testing.assert_allclose(inst.op.sigma, op.sigma, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(inst.op.matrix, mat, rtol=0, atol=1e-13)

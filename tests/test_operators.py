@@ -1,5 +1,7 @@
 """Tests for the spectral operator and coefficient-vector layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,54 @@ def test_dense_singular_system_reproduces_action():
         proj, _ = op.data_from_ambient(direct)
         assert np.linalg.norm(via - op.ambient_from_data(proj)) \
             <= 1e-10 * max(np.linalg.norm(direct), 1.0)
+
+
+def _assert_null_basis(op):
+    null = op.null_data_directions()
+    rows = op.matrix.shape[0]
+    assert null.shape == (rows, rows - op.n)
+    np.testing.assert_allclose(null.T @ null, np.eye(rows - op.n), rtol=0,
+                               atol=1e-12)
+    assert np.abs(null.T @ op._u_range).max(initial=0.0) <= 1e-12
+
+
+@st.composite
+def _dense_matrices(draw):
+    """Tall, square and wide matrices up to 12 x 12 of any rank."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=_dense_matrices())
+def test_matrix_null_directions_complete_the_range(mat):
+    op = tk.SpectralOperator.from_matrix(mat)
+    assert op.n + op.dropped == min(mat.shape)
+    _assert_null_basis(op)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_finite_rank_null_directions_complete_the_range(seed):
+    op = tk.build("finite_rank", 40, seed=seed).op
+    assert op.n == 10
+    _assert_null_basis(op)
+
+
+@pytest.mark.parametrize("shape", [(4000, 40), (40, 4000)])
+def test_tall_and_wide_matrices_build_no_square_factors(shape):
+    # a full SVD would build a 4000 x 4000 factor, 128 MB
+    mat = np.random.default_rng(11).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        op = tk.SpectralOperator.from_matrix(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.n == 40
+    assert peak < 16e6
 
 
 def test_dense_null_directions_are_orthogonal_to_range():
