@@ -120,11 +120,12 @@ def cs_measure_bound(mu_dd: DiscreteMeasure, mu_uu: DiscreteMeasure,
     holds whenever the measures come from one (operator, v, w) triple.
     """
     rho = in_interval("rho", rho, "(-inf, inf)")
-    lhs = mu_du.abs().weighted_sum(0.0, a, b)
     wd = mu_dd.weighted_sum(-rho, a, b)
     wu = mu_uu.weighted_sum(rho, a, b)
     if wd < 0.0 or wu < 0.0:
         raise ValueError("diagonal measures must be non-negative on the window")
+    window = (mu_du.lambdas >= a) & (mu_du.lambdas <= b)
+    lhs = float(np.sum(np.abs(mu_du.masses[window])))
     rhs = float(np.sqrt(wd) * np.sqrt(wu))
     return lhs, rhs
 
@@ -165,6 +166,17 @@ def tail_integral_bound(mu: DiscreteMeasure, nu: float, rho: float, C: float,
     return lhs, float(rhs)
 
 
+def _split_rows(lambdas: np.ndarray, masses: np.ndarray):
+    """:func:`split_point` of each row of ``masses`` on the atoms ``lambdas``,
+    as arrays ``(lam, a_lambda, b_lambda, a_inf)``; sums run in atom order."""
+    below = np.cumsum(np.abs(masses), axis=1)
+    total = below[:, -1]
+    idx = np.argmax(below >= 0.5 * total[:, None], axis=1)
+    rows = np.arange(below.shape[0])
+    above = total - np.where(idx > 0, below[rows, idx - 1], 0.0)
+    return lambdas[idx], below[rows, idx], above, total
+
+
 def split_point(mu_du: DiscreteMeasure) -> SplitPoint:
     """Smallest atom where the from-below variation mass reaches half the
     total; by minimality the from-above mass at that atom is at least half
@@ -172,12 +184,5 @@ def split_point(mu_du: DiscreteMeasure) -> SplitPoint:
     """
     if len(mu_du) == 0:
         raise ValueError("measure must have at least one atom")
-    av = np.abs(mu_du.masses)
-    below = np.cumsum(av)
-    total = float(below[-1])
-    idx = int(np.argmax(below >= 0.5 * total))
-    above = total - (below[idx - 1] if idx > 0 else 0.0)
-    return SplitPoint(lam=float(mu_du.lambdas[idx]),
-                      a_lambda=float(below[idx]),
-                      b_lambda=float(above),
-                      a_inf=total)
+    row = _split_rows(mu_du.lambdas, mu_du.masses[None, :])
+    return SplitPoint(*(float(x[0]) for x in row))

@@ -9,7 +9,9 @@ afterwards.  Coefficient vectors are tied to a frame so that vectors from
 different operators cannot be mixed up silently.
 
 Everything here is immutable after construction and all operations are pure
-functions, so the types are safe to share between threads.
+functions, so the types are safe to share between threads.  The exception,
+an operator's grouping of its spectrum into atoms, is an idempotent cache
+filled on first use: threads that race on it only compute it twice.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class SpectralOperator:
 
     __slots__ = (
         "kind", "sigma", "truncated", "dropped",
-        "domain", "data", "matrix", "_u_range", "_vt_range",
+        "domain", "data", "matrix", "_u_range", "_vt_range", "_atoms",
     )
 
     def __init__(self, *, kind, sigma, truncated, dropped,
@@ -146,6 +148,7 @@ class SpectralOperator:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_u_range", u_range)
         object.__setattr__(self, "_vt_range", vt_range)
+        object.__setattr__(self, "_atoms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpectralOperator is immutable")
@@ -370,11 +373,14 @@ def spectral_projection_norm(op: SpectralOperator, u: CoeffVector,
 def _spectral_atoms(op: SpectralOperator,
                     mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct squared singular values in increasing order, with the sum of
-    ``mass`` (one entry per coordinate) over the coordinates at each."""
-    uniq, inverse = np.unique(op.lambdas, return_inverse=True)
-    merged = np.zeros_like(uniq)
-    np.add.at(merged, inverse, mass)
-    return uniq, merged
+    ``mass`` (one entry per coordinate) over the coordinates at each, added
+    in index order.  The grouping is computed once per operator."""
+    if op._atoms is None:
+        uniq, inverse = np.unique(op.lambdas, return_inverse=True)
+        uniq.setflags(write=False)
+        object.__setattr__(op, "_atoms", (uniq, inverse))
+    uniq, inverse = op._atoms
+    return uniq, np.bincount(inverse, weights=mass, minlength=uniq.size)
 
 
 def vector_measure(op: SpectralOperator, v: CoeffVector,

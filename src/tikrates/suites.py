@@ -3,12 +3,10 @@ command line and by the acceptance tests."""
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .measures import (DiscreteMeasure, MeasurePremiseError, cs_measure_bound,
-                       split_point, tail_integral_bound)
+from .measures import (DiscreteMeasure, MeasurePremiseError, _split_rows,
+                       cs_measure_bound, tail_integral_bound)
 from .operators import SpectralOperator, vector_measure
 
 CS_RHOS = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -98,35 +96,35 @@ def tail_bound_suite(count: int = 2000, seed: int = 0) -> dict:
 
 
 def _split_oracle(lambdas, masses):
-    """Definition-level scan: smallest atom whose from-below variation mass
-    reaches half the total, with interval sums taken literally."""
-    total = sum(abs(m) for m in masses)
-    for i, lam in enumerate(lambdas):
-        below = sum(abs(m) for l, m in zip(lambdas, masses) if l <= lam)
-        if below >= 0.5 * total:
-            above = sum(abs(m) for l, m in zip(lambdas, masses) if l >= lam)
-            return lam, below, above, total
-    return lambdas[-1], total, abs(masses[-1]), total
+    """Definition-level scan of each row of ``masses``: smallest atom whose
+    from-below variation mass reaches half the total, with interval sums
+    taken literally over the masks ``l_j <= l_i`` and ``l_j >= l_i``."""
+    av = np.abs(masses)[:, None, :]
+    below = np.where(lambdas <= lambdas[:, None], av, 0.0).sum(axis=2)
+    above = np.where(lambdas >= lambdas[:, None], av, 0.0).sum(axis=2)
+    total = np.abs(masses).sum(axis=1)
+    idx = np.argmax(below >= 0.5 * total[:, None], axis=1)
+    rows = np.arange(masses.shape[0])
+    return lambdas[idx], below[rows, idx], above[rows, idx], total
 
 
 def split_point_suite() -> dict:
     """Exhaustive half-mass check over all integer-mass measures with up to
-    ``SPLIT_MAX_ATOMS`` atoms and masses in 1..``SPLIT_MAX_MASS``."""
+    ``SPLIT_MAX_ATOMS`` atoms and masses in 1..``SPLIT_MAX_MASS``, one array
+    pass per atom count through the kernel of ``measures.split_point`` and
+    against the literal-interval oracle."""
     cases = violations = 0
     for k in range(1, SPLIT_MAX_ATOMS + 1):
-        lambdas = [float(i) for i in range(1, k + 1)]
-        for masses in product(range(1, SPLIT_MAX_MASS + 1), repeat=k):
-            cases += 1
-            mu = DiscreteMeasure(lambdas, [float(m) for m in masses])
-            sp = split_point(mu)
-            lam_o, below_o, above_o, total_o = _split_oracle(
-                lambdas, [float(m) for m in masses])
-            ok = (sp.lam == lam_o
-                  and abs(sp.a_lambda - below_o) <= 1e-12
-                  and abs(sp.b_lambda - above_o) <= 1e-12
-                  and sp.a_lambda >= 0.5 * sp.a_inf - 1e-12
-                  and sp.b_lambda >= 0.5 * sp.a_inf - 1e-12
-                  and abs(sp.a_inf - total_o) <= 1e-12)
-            if not ok:
-                violations += 1
+        lambdas = np.arange(1.0, k + 1.0)
+        masses = np.indices((SPLIT_MAX_MASS,) * k).reshape(k, -1).T + 1.0
+        lam, a_lam, b_lam, a_inf = _split_rows(lambdas, masses)
+        lam_o, below_o, above_o, total_o = _split_oracle(lambdas, masses)
+        ok = ((lam == lam_o)
+              & (np.abs(a_lam - below_o) <= 1e-12)
+              & (np.abs(b_lam - above_o) <= 1e-12)
+              & (a_lam >= 0.5 * a_inf - 1e-12)
+              & (b_lam >= 0.5 * a_inf - 1e-12)
+              & (np.abs(a_inf - total_o) <= 1e-12))
+        cases += masses.shape[0]
+        violations += int(np.count_nonzero(~ok))
     return {"cases": cases, "violations": violations}

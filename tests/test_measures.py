@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tikrates as tk
+from tikrates import suites
 from tikrates.measures import (DiscreteMeasure, MeasurePremiseError,
-                               cs_measure_bound, split_point,
+                               _split_rows, cs_measure_bound, split_point,
                                tail_integral_bound)
 from tikrates.operators import vector_measure
 
@@ -111,6 +112,22 @@ def test_cs_bound_matches_loop_oracle():
     assert rhs == pytest.approx(rhs_o, rel=1e-13, abs=1e-15)
 
 
+@settings(max_examples=80, deadline=None)
+@given(atoms=st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-10.0, 10.0)),
+                      max_size=12, unique_by=lambda atom: atom[0]),
+       ends=st.tuples(st.floats(0.0, 120.0), st.floats(0.0, 120.0)))
+def test_cs_bound_lhs_is_the_abs_measure_window_sum(atoms, ends):
+    # lambda**0.0 is exactly 1.0, at an atom at zero too, so the window's
+    # absolute masses sum to the power-0 sum of the absolute-value measure
+    atoms = sorted(dict([(0.0, -1.5)] + atoms).items())
+    lam = [x for x, _ in atoms]
+    mu_du = DiscreteMeasure(lam, [m for _, m in atoms])
+    mu_dd = mu_du.abs()
+    a, b = sorted(ends)
+    lhs, _ = cs_measure_bound(mu_dd, mu_dd, mu_du, a, b, 0.0)
+    assert lhs == mu_du.abs().weighted_sum(0.0, a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_cs_bound_holds_on_random_triples(seed):
@@ -206,6 +223,68 @@ def test_split_point_half_mass_invariants(seed):
     assert sp.a_lambda >= 0.5 * sp.a_inf - 1e-12
     assert sp.b_lambda >= 0.5 * sp.a_inf - 1e-12
     assert sp.a_inf == pytest.approx(mu.total_variation(), rel=1e-12)
+
+
+def _scalar_split(lambdas, masses):
+    # the scalar scan that split_point ran before it became a kernel call
+    below = np.cumsum(np.abs(masses))
+    total = float(below[-1])
+    idx = int(np.argmax(below >= 0.5 * total))
+    above = total - (below[idx - 1] if idx > 0 else 0.0)
+    return float(lambdas[idx]), float(below[idx]), float(above), total
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_split_rows_match_the_scalar_scan_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    k, rows = int(rng.integers(1, 9)), int(rng.integers(1, 16))
+    lambdas = np.sort(rng.uniform(0.0, 1.0, k) + np.arange(k))
+    if rng.random() < 0.5:
+        lambdas[0] = 0.0
+    if rng.random() < 0.5:
+        # small integers hit the half-mass threshold exactly
+        masses = rng.integers(-3, 4, (rows, k)).astype(float)
+    else:
+        masses = rng.standard_normal((rows, k)) \
+            * 10.0 ** rng.uniform(-12.0, 12.0, (rows, k))
+    masses[rng.random((rows, k)) < 0.3] = 0.0
+    masses[rng.random(rows) < 0.2] = 0.0
+    got = _split_rows(lambdas, masses)
+    for r, row in enumerate(masses):
+        sp = split_point(DiscreteMeasure(lambdas, row))
+        want = [x.hex() for x in _scalar_split(lambdas, row)]
+        assert [float(x[r]).hex() for x in got] == want
+        assert [x.hex() for x in (sp.lam, sp.a_lambda, sp.b_lambda,
+                                  sp.a_inf)] == want
+
+
+def _strict_split_rows(lambdas, masses):
+    # mutant: the half-mass test is strict
+    below = np.cumsum(np.abs(masses), axis=1)
+    total = below[:, -1]
+    idx = np.argmax(below > 0.5 * total[:, None], axis=1)
+    rows = np.arange(below.shape[0])
+    above = total - np.where(idx > 0, below[rows, idx - 1], 0.0)
+    return lambdas[idx], below[rows, idx], above, total
+
+
+def _whole_total_split_rows(lambdas, masses):
+    # mutant: the from-above mass keeps the mass below the split atom
+    lam, a_lambda, _, total = _split_rows(lambdas, masses)
+    return lam, a_lambda, total, total
+
+
+@pytest.mark.parametrize("mutant, violations", [
+    (_strict_split_rows, 1092),
+    (_whole_total_split_rows, 5430),
+])
+def test_split_suite_catches_kernel_mutants(monkeypatch, mutant, violations):
+    # the counts are those the per-case suite reported for the same faults
+    assert suites.split_point_suite() == {"cases": 5460, "violations": 0}
+    monkeypatch.setattr(suites, "_split_rows", mutant)
+    assert suites.split_point_suite() == {"cases": 5460,
+                                          "violations": violations}
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0])

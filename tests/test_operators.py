@@ -256,6 +256,27 @@ def test_spectral_atoms_equal_a_stable_sorted_reference(seed):
     assert np.array_equal(mu.masses, ref_mass[keep])
 
 
+def test_spectral_atoms_group_each_operator_once(monkeypatch):
+    op, v, w = _tied_spectrum(3)
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    for a, b in ((v, w), (v, v), (w, w)):
+        mu = vector_measure(op, op.vector(a), op.vector(b))
+        ref_lam, ref_mass = _atoms_reference(op.lambdas, a * b)
+        keep = ref_mass != 0.0
+        assert np.array_equal(mu.lambdas, ref_lam[keep])
+        assert np.array_equal(mu.masses, ref_mass[keep])
+    assert len(calls) == 1
+    with pytest.raises(AttributeError, match="immutable"):
+        op._atoms = None
+
+
 def test_spectral_atoms_add_ties_in_index_order():
     # in index order 1e16 + 1 rounds to 1e16 and the tie sums to 0;
     # cancelling the two 1e16 first would leave 1
