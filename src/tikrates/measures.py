@@ -120,14 +120,36 @@ def cs_measure_bound(mu_dd: DiscreteMeasure, mu_uu: DiscreteMeasure,
     holds whenever the measures come from one (operator, v, w) triple.
     """
     rho = in_interval("rho", rho, "(-inf, inf)")
-    wd = mu_dd.weighted_sum(-rho, a, b)
-    wu = mu_uu.weighted_sum(rho, a, b)
-    if wd < 0.0 or wu < 0.0:
+    lhs, rhs = _cs_rows([(mu.lambdas[None], mu.masses[None])
+                         for mu in (mu_dd, mu_uu, mu_du)],
+                        np.array([a]), np.array([b]), np.array([rho]))
+    return float(lhs[0]), float(rhs[0])
+
+
+def _cs_rows(measures, a, b, rho):
+    """:func:`cs_measure_bound` of each row of three ``(lambdas, masses)``
+    stacks, NaN marking an empty slot, on windows [a, b].  Rows with equal
+    rho and window atom counts are summed together, along rows as in a
+    one-row call, with rho a float: ``np.power`` has scalar fast paths."""
+    if not np.all((0.0 <= a) & (a <= b)):
+        raise ValueError("need 0 <= a <= b")
+    keep = [(lam >= a[:, None]) & (lam <= b[:, None]) for lam, _ in measures]
+    for (lam, _), k, neg in zip(measures, keep, (rho > 0.0, rho < 0.0)):
+        if np.any(neg[:, None] & k & (lam == 0.0)):
+            raise ValueError("negative power with an atom at zero")
+    groups = np.array([rho] + [k.sum(axis=1) for k in keep]).T
+    lhs, wd, wu = np.empty((3, a.size))
+    for g in np.unique(groups, axis=0):
+        rows = np.flatnonzero((groups == g).all(axis=1))
+        (lam_dd, dd), (lam_uu, uu), (_, du) = [
+            [x[rows][k[rows]].reshape(rows.size, -1) for x in measure]
+            for measure, k in zip(measures, keep)]
+        wd[rows] = np.sum(dd * lam_dd ** -float(g[0]), axis=1)
+        wu[rows] = np.sum(uu * lam_uu ** float(g[0]), axis=1)
+        lhs[rows] = np.sum(np.abs(du), axis=1)
+    if np.any(wd < 0.0) or np.any(wu < 0.0):
         raise ValueError("diagonal measures must be non-negative on the window")
-    window = (mu_du.lambdas >= a) & (mu_du.lambdas <= b)
-    lhs = float(np.sum(np.abs(mu_du.masses[window])))
-    rhs = float(np.sqrt(wd) * np.sqrt(wu))
-    return lhs, rhs
+    return lhs, np.sqrt(wd) * np.sqrt(wu)
 
 
 def tail_integral_bound(mu: DiscreteMeasure, nu: float, rho: float, C: float,

@@ -194,6 +194,14 @@ REJECTIONS = {
                              "count must be at least 1"),
     "tail-bound-suite-empty": (lambda tmp: tail_bound_suite(0),
                                "count must be at least 1"),
+    "cs-bound-suite-fractional": (lambda tmp: cs_bound_suite(2.5),
+                                  "count must be at least 1, as an integer"),
+    "cs-bound-suite-bool": (lambda tmp: cs_bound_suite(True),
+                            "count must be at least 1, as an integer"),
+    "tail-bound-suite-fractional": (lambda tmp: tail_bound_suite(2.5),
+                                    "count must be at least 1, as an integer"),
+    "tail-bound-suite-bool": (lambda tmp: tail_bound_suite(True),
+                              "count must be at least 1, as an integer"),
     "fit-zero-errors": (lambda tmp: _fit([1.0, 2.0, 3.0, 4.0],
                                          [1.0, 0.0, 1.0, 1.0], False),
                         "errors vanish"),

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import tikrates as tk
 from tikrates import suites
 from tikrates.measures import (DiscreteMeasure, MeasurePremiseError,
-                               _split_rows, cs_measure_bound, split_point,
-                               tail_integral_bound)
+                               _cs_rows, _split_rows, cs_measure_bound,
+                               split_point, tail_integral_bound)
 from tikrates.operators import vector_measure
 
 
@@ -285,6 +285,129 @@ def test_split_suite_catches_kernel_mutants(monkeypatch, mutant, violations):
     monkeypatch.setattr(suites, "_split_rows", mutant)
     assert suites.split_point_suite() == {"cases": 5460,
                                           "violations": violations}
+
+
+def _scalar_cs_bound(mu_dd, mu_uu, mu_du, a, b, rho, dd_sign=-1.0,
+                     windowed=True):
+    # the bound as cs_measure_bound took it before it became a kernel call,
+    # through weighted_sum; the flags put in the faults of the mutants below
+    wd = mu_dd.weighted_sum(dd_sign * rho, a, b)
+    wu = mu_uu.weighted_sum(rho, a, b)
+    lo, hi = (a, b) if windowed else (0.0, np.inf)
+    window = (mu_du.lambdas >= lo) & (mu_du.lambdas <= hi)
+    return (float(np.sum(np.abs(mu_du.masses[window]))),
+            float(np.sqrt(wd) * np.sqrt(wu)))
+
+
+def _per_instance_cs_suite(count, seed, **fault):
+    # the per-instance loop that cs_bound_suite ran before it stacked its draws
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst = np.inf
+    for i in range(count):
+        n = int(rng.integers(3, 25))
+        sig = rng.uniform(0.3, 1.5, n)
+        op = tk.SpectralOperator.diagonal(sig)
+        v = op.vector(rng.standard_normal(n))
+        w = op.vector(rng.standard_normal(n))
+        mu_dd = vector_measure(op, v, v)
+        mu_uu = vector_measure(op, w, w)
+        mu_du = vector_measure(op, v, w)
+        lam = np.sort(sig ** 2)
+        if rng.random() < 0.5:
+            a, b = 0.0, float(lam[-1] * 1.1)
+        else:
+            a, b = sorted(rng.uniform(lam[0] * 0.9, lam[-1] * 1.1, 2))
+        rho = suites.CS_RHOS[i % len(suites.CS_RHOS)]
+        lhs, rhs = _scalar_cs_bound(mu_dd, mu_uu, mu_du, a, b, rho, **fault)
+        margin = rhs - lhs
+        worst = min(worst, margin)
+        if margin < -1e-12:
+            violations += 1
+    return {"instances": count, "violations": violations,
+            "worst_margin": float(worst)}
+
+
+def _nan_padded(rng, mus):
+    # one (lambdas, masses) stack of the measures, one per row, with their
+    # atoms in order among NaN slots at random places
+    width = max(len(mu) for mu in mus) + int(rng.integers(0, 4))
+    lam, mass = np.full((len(mus), width), np.nan), np.zeros((len(mus), width))
+    for r, mu in enumerate(mus):
+        at = np.sort(rng.choice(width, len(mu), replace=False))
+        lam[r, at], mass[r, at] = mu.lambdas, mu.masses
+    return lam, mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_cs_rows_match_the_one_row_bound_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 21))
+    zeros = rng.choice([0.0, 0.3, 0.7])
+    triples, ab = [], np.empty((rows, 2))
+    for r in range(rows):
+        n = int(rng.integers(1, 25))
+        op = tk.SpectralOperator.diagonal(rng.uniform(0.3, 1.5, n))
+        vw = rng.standard_normal((2, n))
+        vw[rng.random((2, n)) < zeros] = 0.0  # exact-zero coefficients
+        v, w = op.vector(vw[0]), op.vector(vw[1])
+        triples.append([vector_measure(op, x, y)
+                        for x, y in ((v, v), (w, w), (v, w))])
+        lam = np.sort(op.lambdas)
+        top = float(lam[-1])
+        ab[r] = [
+            [lam[rng.integers(n)]] * 2,  # a == b on an atom
+            np.sort(rng.uniform(0.0, 1.2 * top, 2)),
+            [top * rng.uniform(1.01, 2.0), np.inf],  # past the support
+            [0.0, np.inf],
+            # strictly between two atoms, or below the first: empty
+            [lam[0] / 3.0] * 2 if n == 1 else [lam[:2].mean()] * 2,
+        ][rng.integers(5)]
+    rho = np.resize(suites.CS_RHOS, rows)
+    stacks = [_nan_padded(rng, [t[m] for t in triples]) for m in range(3)]
+    lhs, rhs = _cs_rows(stacks, ab[:, 0], ab[:, 1], rho)
+    for r, mus in enumerate(triples):
+        got = [float(lhs[r]).hex(), float(rhs[r]).hex()]
+        args = (*mus, *ab[r], float(rho[r]))
+        assert got == [x.hex() for x in cs_measure_bound(*args)]
+        assert got == [x.hex() for x in _scalar_cs_bound(*args)]
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 7])
+@pytest.mark.parametrize("count", [1, 50, 500])
+def test_cs_suite_matches_the_per_instance_loop(seed, count):
+    got = suites.cs_bound_suite(count, seed)
+    want = _per_instance_cs_suite(count, seed)
+    assert got["worst_margin"].hex() == want["worst_margin"].hex()
+    assert got == want
+
+
+def _row_by_row(**fault):
+    # a kernel that takes each row through the scalar bound, with a fault;
+    # the NaN locations of empty slots fail every comparison
+    def kernel(measures, a, b, rho):
+        out = np.empty((2, a.size))
+        for r in range(a.size):
+            mus = [DiscreteMeasure(lam[r][lam[r] >= 0.0], m[r][lam[r] >= 0.0])
+                   for lam, m in measures]
+            out[:, r] = _scalar_cs_bound(*mus, a[r], b[r], rho[r], **fault)
+        return out
+    return kernel
+
+
+@pytest.mark.parametrize("fault, violations", [
+    ({"dd_sign": 1.0}, 70),  # mu_dd weighted by lambda**rho
+    ({"windowed": False}, 226),  # lhs over the whole mixed measure
+])
+def test_cs_suite_catches_kernel_mutants(monkeypatch, fault, violations):
+    # the counts are those the per-instance suite reported for the same faults
+    assert _per_instance_cs_suite(500, 0, **fault)["violations"] == violations
+    assert suites.cs_bound_suite(500, seed=0)["violations"] == 0
+    monkeypatch.setattr(suites, "_cs_rows", _row_by_row())
+    assert suites.cs_bound_suite(500, seed=0) == _per_instance_cs_suite(500, 0)
+    monkeypatch.setattr(suites, "_cs_rows", _row_by_row(**fault))
+    assert suites.cs_bound_suite(500, seed=0)["violations"] == violations
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.0])
