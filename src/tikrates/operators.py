@@ -9,9 +9,10 @@ afterwards.  Coefficient vectors are tied to a frame so that vectors from
 different operators cannot be mixed up silently.
 
 Everything here is immutable after construction and all operations are pure
-functions, so the types are safe to share between threads.  The exception,
-an operator's grouping of its spectrum into atoms, is an idempotent cache
-filled on first use: threads that race on it only compute it twice.
+functions, so the types are safe to share between threads.  The exceptions,
+an operator's grouping of its spectrum into atoms and the dense matrix of a
+factored operator, are idempotent caches filled on first use: threads that
+race on them only compute them twice.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class SpectralOperator:
 
     __slots__ = (
         "kind", "sigma", "truncated", "dropped",
-        "domain", "data", "matrix", "_u_range", "_vt_range", "_atoms",
+        "domain", "data", "_matrix", "_u_range", "_vt_range", "_atoms",
     )
 
     def __init__(self, *, kind, sigma, truncated, dropped,
@@ -145,7 +146,7 @@ class SpectralOperator:
             object.__setattr__(self, "data", self.domain)
         else:
             object.__setattr__(self, "data", Frame(n, f"{tag}-data"))
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_u_range", u_range)
         object.__setattr__(self, "_vt_range", vt_range)
         object.__setattr__(self, "_atoms", None)
@@ -190,6 +191,8 @@ class SpectralOperator:
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        if not np.all(np.isfinite(s)):
+            raise ValueError("singular values overflow the float range")
         if s[0] == 0.0:
             raise ValueError("matrix is identically zero")
         k = int(np.count_nonzero(s > DROP_RTOL * s[0]))
@@ -198,17 +201,19 @@ class SpectralOperator:
     @classmethod
     def _dense(cls, matrix, u_range, sigma, vt_range) -> "SpectralOperator":
         """Exact operator for ``matrix = u_range @ diag(sigma) @ vt_range``,
-        from a singular system the caller already holds.
+        from a singular system the caller already holds; ``matrix=None``
+        means the product of the factors, formed only when read.
 
         The directions of the smaller matrix side beyond ``sigma`` are counted
         in ``dropped`` and logged.  The arrays are kept read-only, and the
-        system is verified on seeded random vectors: it must reproduce the
-        matrix action, and both factors must have orthonormal columns, each
-        to ``DENSE_CHECK_RTOL`` relative error.
+        system is verified on seeded random vectors: the factors must be
+        finite with orthonormal columns and, given a matrix, reproduce its
+        action, each to ``DENSE_CHECK_RTOL`` relative error.
         """
         for a in (matrix, u_range, vt_range):
-            a.setflags(write=False)
-        dropped = min(matrix.shape) - len(sigma)
+            if a is not None:
+                a.setflags(write=False)
+        dropped = min(u_range.shape[0], vt_range.shape[1]) - len(sigma)
         if dropped:
             logger.info("dense operator: dropped %d null directions "
                         "(sigma below %.1e * sigma_max)", dropped, DROP_RTOL)
@@ -221,11 +226,13 @@ class SpectralOperator:
         rng = np.random.default_rng(0)
         scale = float(self.sigma[0])
         u, vt = self._u_range, self._vt_range
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(vt))):
+            raise ValueError("singular vectors must be finite")
         for _ in range(4):
-            x = rng.standard_normal(self.matrix.shape[1])
-            direct = self.matrix @ x
-            via = u @ (self.sigma * (vt @ x))
-            err = np.linalg.norm(direct - via)
+            x = rng.standard_normal(vt.shape[1])
+            # a product of the factors reproduces its own action
+            err = 0.0 if self._matrix is None else np.linalg.norm(
+                self._matrix @ x - u @ (self.sigma * (vt @ x)))
             if err > DENSE_CHECK_RTOL * max(scale * np.linalg.norm(x), 1e-300):
                 raise ValueError("singular system fails to reproduce the matrix "
                                  f"action (error {err:.2e})")
@@ -243,6 +250,15 @@ class SpectralOperator:
     def n(self) -> int:
         """Number of retained singular directions."""
         return int(self.sigma.shape[0])
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """Read-only dense matrix (None if diagonal), formed on first read."""
+        if self._matrix is None and self.kind == "dense":
+            mat = self._u_range @ (self.sigma[:, None] * self._vt_range)
+            mat.setflags(write=False)
+            object.__setattr__(self, "_matrix", mat)
+        return self._matrix
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -284,7 +300,7 @@ class SpectralOperator:
                 raise ValueError("ambient data length does not match the "
                                  "retained singular values")
             return CoeffVector(y, self.data), 0.0
-        if y.shape[0] != self.matrix.shape[0]:
+        if y.shape[0] != self._u_range.shape[0]:
             raise ValueError("ambient data length does not match matrix rows")
         # at the power of two of max|y| no product or square underflows
         e = math.frexp(float(np.max(np.abs(y))))[1]

@@ -131,6 +131,12 @@ def test_guarded_parameter_domains(param, interval, call, inside, data):
 M_NEG = DiscreteMeasure([0.5, 1.0], [0.1, -0.5])
 
 
+def _nan_corner(a):
+    a = a.copy()
+    a[0, 0] = np.nan
+    return a
+
+
 def _load(tmp_path, spec):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(spec))
@@ -156,6 +162,9 @@ REJECTIONS = {
     "matrix-non-finite": (
         lambda tmp: tk.SpectralOperator.from_matrix([[1.0, np.nan]]),
         "entries must be finite"),
+    "matrix-overflowing-spectrum": (
+        lambda tmp: tk.SpectralOperator.from_matrix(np.full((2, 2), 1e308)),
+        "singular values overflow"),
     "matrix-all-zero": (
         lambda tmp: tk.SpectralOperator.from_matrix(np.zeros((3, 2))),
         "identically zero"),
@@ -167,6 +176,11 @@ REJECTIONS = {
                                           * DENSE.op._vt_range),
             1.01 * DENSE.op._u_range, DENSE.op.sigma, DENSE.op._vt_range),
         "left singular vectors are not orthonormal"),
+    "dense-non-finite-factor": (
+        lambda tmp: tk.SpectralOperator._dense(
+            None, _nan_corner(DENSE.op._u_range), DENSE.op.sigma,
+            DENSE.op._vt_range),
+        "singular vectors must be finite"),
     "ambient-wrong-length": (
         lambda tmp: DENSE.op.data_from_ambient(np.ones(Y_AMB.size + 1)),
         "does not match matrix rows"),

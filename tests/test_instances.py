@@ -1,5 +1,8 @@
 """Tests for the named instance builders."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -87,32 +90,37 @@ def test_spectra_whose_squares_underflow_are_refused(name, n):
         tk.build(name, n)
 
 
-def _full_orthogonal(rng, n):
-    """The sign-normalized full-square QR factor of one n x n normal draw."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+def _sign_fixed_qr(a):
+    """The QR factor of ``a`` with its columns signed so diag(R) > 0."""
+    q, r = np.linalg.qr(a)
     return q * np.sign(np.diag(r))
 
 
 @pytest.mark.parametrize("n", [16, 60, 900])
 def test_thin_orthogonal_is_the_leading_columns_of_the_full_factor(n):
     k = max(3, n // 4)
-    thin_rng, full_rng = np.random.default_rng(n), np.random.default_rng(n)
-    thin = _orthogonal(thin_rng, n, k)
-    full = _full_orthogonal(full_rng, n)[:, :k]
-    assert thin.shape == (n, k)
-    np.testing.assert_allclose(thin, full, rtol=0, atol=1e-12)
-    # the whole n x n draw is consumed, so later draws are unchanged
-    assert thin_rng.bit_generator.state == full_rng.bit_generator.state
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    thin = _orthogonal(rng, n, k)
+    draw = ref_rng.standard_normal((n, k))
+    # exactly n x k normals are drawn, so the later draws follow them
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    np.testing.assert_array_equal(thin, _sign_fixed_qr(draw))
+    # Haar-distributed: the leading k columns of the full-square factor of
+    # the draw completed by further normals
+    square = np.hstack([draw, ref_rng.standard_normal((n, n - k))])
+    np.testing.assert_allclose(thin, _sign_fixed_qr(square)[:, :k],
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, seed", [(16, 0), (60, 1), (900, 7)])
 def test_finite_rank_matches_the_full_factor_build(n, seed):
-    # the reference factors both n x n draws in full and keeps k columns
+    # the reference takes the SVD of the full matrix drawn from the same
+    # stream (sigma first, then n x k normals for U and for V)
     rng = np.random.default_rng(seed)
     k = max(3, n // 4)
     sig = np.sort(rng.uniform(0.5, 2.0, k))[::-1]
-    u_mat = _full_orthogonal(rng, n)[:, :k]
-    v_mat = _full_orthogonal(rng, n)[:, :k]
+    u_mat = _sign_fixed_qr(rng.standard_normal((n, k)))
+    v_mat = _sign_fixed_qr(rng.standard_normal((n, k)))
     mat = u_mat @ (sig[:, None] * v_mat.T)
     op = tk.SpectralOperator.from_matrix(mat)
     d = rng.uniform(0.3, 1.0, op.n) * rng.choice([-1.0, 1.0], op.n)
@@ -121,4 +129,45 @@ def test_finite_rank_matches_the_full_factor_build(n, seed):
     assert inst.op.dropped == op.dropped == n - k
     np.testing.assert_array_equal(inst.u_dagger.coeffs, d)
     np.testing.assert_allclose(inst.op.sigma, op.sigma, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(inst.op.matrix, mat, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(inst.op.matrix, op.matrix, rtol=0, atol=1e-13)
+
+
+def test_finite_rank_forms_its_matrix_only_when_read():
+    inst = tk.build("finite_rank", 60, seed=3)
+    op = inst.op
+    assert op._matrix is None
+    assert all(r["match"] for r in tk.run_battery(inst))
+    assert op._matrix is None
+    mat = op.matrix
+    want = op._u_range @ (op.sigma[:, None] * op._vt_range)
+    assert mat.tobytes() == want.tobytes() and mat.shape == want.shape
+    assert not mat.flags.writeable
+    assert op.matrix is mat
+
+
+def test_racing_first_reads_of_the_matrix_get_the_same_bytes():
+    # the cache is filled without a lock: racing readers may each form the
+    # product, and every one of them gets the same read-only bytes
+    op = tk.build("finite_rank", 200, seed=5).op
+    want = op._u_range @ (op.sigma[:, None] * op._vt_range)
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=10)
+        seen.append(op.matrix)
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    for mat in seen:
+        assert mat.tobytes() == want.tobytes() and not mat.flags.writeable
+    assert any(op.matrix is mat for mat in seen)
