@@ -18,9 +18,8 @@ from .rates import (IN_RANGE, RANDOM_SPHERE, WORST_CASE_BASIS,
                     DegenerateGridError, NoiseModel, QProjectionResult,
                     RateFit, infimum_rate, noise_free_rate, noisy_rate,
                     q_projection_equivalence)
-from .tikhonov import (ErrorBoundReport, NotInRangeError, TikhonovSolve,
-                       error_bound, min_norm_solution, solve,
-                       solve_normal_equations)
+from .tikhonov import (ErrorBoundReport, NotInRangeError, error_bound,
+                       min_norm_solution, solve, solve_normal_equations)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "vector_measure",
     "DiscreteMeasure", "SplitPoint", "MeasurePremiseError",
     "cs_measure_bound", "tail_integral_bound", "split_point",
-    "TikhonovSolve", "ErrorBoundReport", "NotInRangeError",
+    "ErrorBoundReport", "NotInRangeError",
     "min_norm_solution", "solve", "solve_normal_equations", "error_bound",
     "RateFit", "NoiseModel", "QProjectionResult", "DegenerateGridError",
     "WORST_CASE_BASIS", "RANDOM_SPHERE", "IN_RANGE",

@@ -97,18 +97,32 @@ def _load_instance(args) -> NamedInstance:
     if not path.exists():
         raise ValueError(f"unknown instance {ref!r} and no such file")
     spec = json.loads(path.read_text())
+    if not isinstance(spec, dict):
+        raise ValueError("operator file must hold a JSON object")
     if "y" not in spec:
         raise ValueError("operator file must provide 'y'")
     if "diagonal" in spec:
-        op = SpectralOperator.diagonal(spec["diagonal"])
+        op = SpectralOperator.diagonal(_numbers(spec, "diagonal"))
     elif "matrix" in spec:
-        op = SpectralOperator.from_matrix(spec["matrix"])
+        op = SpectralOperator.from_matrix(_numbers(spec, "matrix"))
     else:
         raise ValueError("operator file needs 'diagonal' or 'matrix'")
-    u_dagger = min_norm_solution(op, spec["y"])
-    return NamedInstance(name=path.stem, op=op,
-                         y=op.data_from_ambient(spec["y"])[0],
-                         u_dagger=u_dagger, expected={})
+    y = _numbers(spec, "y")
+    return NamedInstance(name=path.stem, op=op, y=op.data_from_ambient(y)[0],
+                         u_dagger=min_norm_solution(op, y), expected={})
+
+
+def _numbers(spec: dict, key: str) -> np.ndarray:
+    """The operator file's ``key`` entry, a number or a (nested) list of
+    numbers, as a float array."""
+    value = spec[key]
+    if isinstance(value, (int, float, list)):
+        try:
+            return np.asarray(value, dtype=float)
+        except TypeError:  # a list that holds an object
+            pass
+    raise ValueError(f"operator file: {key!r} must be a number or a list "
+                     "of numbers")
 
 
 def _cmd_check(args) -> int:
@@ -121,8 +135,9 @@ def _cmd_check(args) -> int:
     flag, *consts = (o for o, r in CHECK_OPTIONS.items() if condition in r)
     if (param := getattr(args, flag)) is None:
         raise ValueError(f"--{flag} is required for this condition")
-    rep = CHECKS[condition](_load_instance(args), param,
-                            **{c: getattr(args, c) for c in consts})
+    inst = _load_instance(args)
+    rep = getattr(cond, CHECKS[condition])(
+        inst.op, inst.u_dagger, param, *(getattr(args, c) for c in consts))
     print(_dump_json(rep.to_json(), args.output, not args.no_timestamp))
     return 0
 

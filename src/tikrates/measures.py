@@ -30,8 +30,8 @@ class MeasurePremiseError(ValueError):
 class DiscreteMeasure:
     """Finite signed measure on [0, inf) given as (location, mass) atoms.
 
-    Locations are strictly increasing and non-negative; ``signed`` is True
-    when any mass is negative.  The empty measure is allowed.
+    Locations are strictly increasing and non-negative.  The empty measure
+    is allowed.
     """
 
     __slots__ = ("lambdas", "masses")
@@ -59,19 +59,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return self.lambdas.shape[0]
 
-    @property
-    def signed(self) -> bool:
-        return bool(np.any(self.masses < 0.0))
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def total_variation(self) -> float:
-        return float(np.abs(self.masses).sum())
-
-    def abs(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.lambdas, np.abs(self.masses))
-
     def weighted_sum(self, power: float, a: float = 0.0,
                      b: float = np.inf) -> float:
         """Sum of ``mass * lambda**power`` over atoms in [a, b].
@@ -91,7 +78,7 @@ class DiscreteMeasure:
         return float(np.sum(m * lam ** power))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiscreteMeasure(atoms={len(self)}, signed={self.signed})"
+        return f"DiscreteMeasure(atoms={len(self)})"
 
 
 @dataclass(frozen=True)

@@ -82,13 +82,6 @@ class CoeffVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def inner(self, other: "CoeffVector") -> float:
-        _require_same_frame(self.frame, other.frame)
-        return float(self.coeffs @ other.coeffs)
-
-    def scaled(self, factor: float) -> "CoeffVector":
-        return CoeffVector(self.coeffs * float(factor), self.frame)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CoeffVector(n={self.coeffs.size}, frame={self.frame.label!r})"
 
@@ -273,12 +266,6 @@ class SpectralOperator:
         """Build a data-side coefficient vector."""
         return CoeffVector(coeffs, self.data)
 
-    def basis_vector(self, index: int) -> CoeffVector:
-        """Domain-side unit vector of the ``index``-th singular direction."""
-        arr = np.zeros(self.n)
-        arr[index] = 1.0
-        return CoeffVector(arr, self.domain)
-
     # Ambient interface -------------------------------------------------------
 
     def _require_dense(self):
@@ -325,17 +312,6 @@ class SpectralOperator:
         self._require_dense()
         x = np.asarray(x_ambient, dtype=float).reshape(-1)
         return CoeffVector(self._vt_range @ x, self.domain)
-
-    def null_data_directions(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the complement of the retained range.
-
-        Not stored: each call completes the retained left singular basis by a
-        full QR of the m x k factor, which costs O(m**2 k) time and builds an
-        m x m array.
-        """
-        self._require_dense()
-        q = np.linalg.qr(self._u_range, mode="complete")[0]
-        return q[:, self.n:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SpectralOperator(kind={self.kind!r}, n={self.n}, "

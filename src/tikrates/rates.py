@@ -208,12 +208,6 @@ def _kernel(op, u_dag: CoeffVector, dirs: np.ndarray | None, rows: int):
     return errors
 
 
-def _family_errors(op, u_dag: CoeffVector, delta, alphas,
-                   dirs: np.ndarray | None) -> np.ndarray:
-    """Every (alpha, noise direction) error, the grid as one kernel block."""
-    return np.ldexp(*_kernel(op, u_dag, dirs, len(alphas))(delta, alphas))
-
-
 def _noisy_errors(op, u_dag: CoeffVector, delta, alpha,
                   dirs: np.ndarray | None, kernel=None):
     """Worst error over the noise family at one (delta, alpha); returns

@@ -37,20 +37,6 @@ class NotInRangeError(ValueError):
 
 
 @dataclass(frozen=True)
-class TikhonovSolve:
-    """Result of one regularized solve.
-
-    ``residual_norm`` is the data misfit of the solution on the retained
-    coordinates and ``solution_norm`` its Hilbert norm.
-    """
-
-    alpha: float
-    solution: CoeffVector
-    residual_norm: float
-    solution_norm: float
-
-
-@dataclass(frozen=True)
 class ErrorBoundReport:
     """Evaluation of the certificate error bound at one (delta, alpha) pair.
 
@@ -111,7 +97,7 @@ def min_norm_solution(op: SpectralOperator, y) -> CoeffVector:
     return CoeffVector(coeffs / op.sigma, op.domain)
 
 
-def solve(op: SpectralOperator, ytilde, alpha: float) -> TikhonovSolve:
+def solve(op: SpectralOperator, ytilde, alpha: float) -> CoeffVector:
     """Tikhonov-regularized solution through spectral filter factors.
 
     The n-th coefficient of the solution is
@@ -119,12 +105,7 @@ def solve(op: SpectralOperator, ytilde, alpha: float) -> TikhonovSolve:
     """
     alpha = in_interval("alpha", alpha, "(0, inf)")
     y, _ = _as_data_coeffs(op, ytilde)
-    coeffs = op.sigma * y / (alpha + op.sigma ** 2)
-    residual = float(np.linalg.norm(op.sigma * coeffs - y))
-    return TikhonovSolve(alpha=alpha,
-                         solution=CoeffVector(coeffs, op.domain),
-                         residual_norm=residual,
-                         solution_norm=float(np.linalg.norm(coeffs)))
+    return CoeffVector(op.sigma * y / (alpha + op.sigma ** 2), op.domain)
 
 
 def solve_normal_equations(op: SpectralOperator, ytilde,
@@ -167,7 +148,7 @@ def error_bound(mu: float, beta: float, gamma: float, delta: float,
     if actual > delta * (1.0 + 1e-9) + 1e-15:
         raise ValueError(f"perturbation norm {actual:.3e} exceeds delta {delta:.3e}")
     u_dag = min_norm_solution(op, CoeffVector(ycoef, op.data))
-    u_reg = solve(op, CoeffVector(ydcoef, op.data), alpha).solution
+    u_reg = solve(op, CoeffVector(ydcoef, op.data), alpha)
     lhs = float(np.sum((u_reg.coeffs - u_dag.coeffs) ** 2))
     rhs = (2.0 / (1.0 - gamma) * delta ** 2 / alpha
            + beta ** (2.0 / (2.0 - mu)) * (2.0 - mu) / (2.0 * (1.0 - gamma))

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from tikrates import conditions as cond
 from tikrates.cli import _load_instance, main
 
 
@@ -170,6 +171,42 @@ def test_operator_file_off_range_data_exits_two(tmp_path, capsys):
                  "--nu", "1.0", "--no-timestamp"])
     assert code == 2
     assert "not in range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "operator file must hold a JSON object"),
+    ('{"diagonal": {"a": 1}, "y": [1]}', "'diagonal' must be a number"),
+    ('{"matrix": {"a": 1}, "y": [1]}', "'matrix' must be a number"),
+    ('{"diagonal": [1, 0.5], "y": {"a": 1}}', "'y' must be a number"),
+    ('{"diagonal": [1, {"a": 1}], "y": [1, 1]}', "'diagonal' must be a number"),
+], ids=["top-level-number", "diagonal-object", "matrix-object", "y-object",
+        "diagonal-list-of-object"])
+def test_malformed_operator_file_exits_two(text, message, tmp_path, capfd):
+    path = tmp_path / "op.json"
+    path.write_text(text)
+    assert main(["check", "--instance", str(path), "--condition", "tail",
+                 "--nu", "0.5"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_checks_are_looked_up_on_the_conditions_module(monkeypatch, capsys):
+    # a wrapper installed on the module, as perfbench's spans install one,
+    # sees the checks that the command line and run_battery run
+    calls = []
+    check = cond.check_spectral_tail
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(cond, "check_spectral_tail", counted)
+    assert main(["check", "--instance", "harmonic4", "--condition", "tail",
+                 "--nu", "1.0", "--no-timestamp"]) == 0
+    assert len(calls) == 1
+    assert main(["conformance", "--instance", "harmonic4"]) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("condition, flag", [

@@ -18,6 +18,12 @@ from tikrates.instances import CHECKS
 TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
 
+def _check(condition, inst, param):
+    """The report of ``condition`` at ``param`` on an instance, run through
+    the CHECKS table as the command line runs it."""
+    return getattr(cond, CHECKS[condition])(inst.op, inst.u_dagger, param)
+
+
 # Converters -----------------------------------------------------------------
 
 def test_hvi_to_ivi_certificate_values():
@@ -64,7 +70,7 @@ def test_ssc_geometric_instance_verdicts():
 
 def test_ssc_first_basis_vector_certifies_at_every_parameter():
     inst = tk.build("counter26", 60)
-    e1 = inst.op.basis_vector(0)
+    e1 = inst.op.vector(np.eye(inst.op.n)[0])
     for nu in (0.3, 1.0, 2.0):
         rep = tk.check_standard_sc(inst.op, e1, nu)
         assert rep.verdict == tk.CERTIFIED
@@ -311,7 +317,7 @@ def test_svi_deep_section_refutes_without_overflow_warnings(name, nu):
 def test_non_finite_spectral_powers_refuse(name, n, seed, condition, message):
     inst = tk.build(name, n, seed)
     with pytest.raises(ValueError, match=re.escape(message)):
-        CHECKS[condition](inst, 1.9)
+        _check(condition, inst, 1.9)
 
 
 @pytest.mark.parametrize("n, seed, nu", [(500, 2, 1.5), (1000, 0, 1.0),
@@ -423,7 +429,7 @@ def test_ivi_with_derived_constants_builds_the_probe_families_once(
         return build_families(*args, **kwargs)
 
     monkeypatch.setattr(cond, "probe_families", counted)
-    rep = CHECKS[tk.IVI](inst, 1.0)
+    rep = _check(tk.IVI, inst, 1.0)
     assert len(calls) == 1
     assert rep.verdict == inst.expected[(tk.IVI, 1.0)]
 
@@ -493,7 +499,7 @@ def test_tail_harmonic_instance_order_one():
 
 def test_tail_top_supported_solution_certifies_every_order():
     inst = tk.build("counter26", 60)
-    e1 = inst.op.basis_vector(0)
+    e1 = inst.op.vector(np.eye(inst.op.n)[0])
     for nu in (0.3, 1.0, 1.9):
         rep = tk.check_spectral_tail(inst.op, e1, nu)
         assert rep.verdict == tk.CERTIFIED
@@ -546,18 +552,18 @@ ORDERS = {"reversed": np.arange(60)[::-1],
 def test_checks_refuse_a_section_out_of_depth_order(name, order, condition):
     inst = _reordered(name, ORDERS[order])
     with pytest.raises(ValueError, match="non-increasing order"):
-        CHECKS[condition](inst, DEPTH_PARAMS[condition])
+        _check(condition, inst, DEPTH_PARAMS[condition])
 
 
 @pytest.mark.parametrize("condition", DEPTH_PARAMS)
 def test_checks_accept_exact_sections_in_any_order_and_ties(condition):
     exact = _reordered("counter26", ORDERS["reversed"], truncated=False)
-    assert CHECKS[condition](exact, DEPTH_PARAMS[condition]).verdict \
+    assert _check(condition, exact, DEPTH_PARAMS[condition]).verdict \
         == tk.CERTIFIED
     flat = tk.SpectralOperator.diagonal(np.ones(20))
     ties = SimpleNamespace(op=flat,
                            u_dagger=flat.vector(np.exp2(-np.arange(20))))
-    CHECKS[condition](ties, DEPTH_PARAMS[condition])
+    _check(condition, ties, DEPTH_PARAMS[condition])
 
 
 # Cross-condition properties --------------------------------------------------
@@ -631,7 +637,7 @@ def test_scaling_invariance_of_verdicts_and_constants():
     base_tail = tk.check_spectral_tail(inst.op, inst.u_dagger, 0.5)
     base_ssc = tk.check_standard_sc(inst.op, inst.u_dagger, 0.4)
     for c in (0.125, 3.0, 17.0):
-        scaled = inst.u_dagger.scaled(c)
+        scaled = inst.op.vector(c * inst.u_dagger.coeffs)
         hvi = tk.check_hvi(inst.op, scaled, 0.5)
         assert hvi.verdict == base_hvi.verdict
         assert hvi.constants["beta"] == pytest.approx(
@@ -714,8 +720,74 @@ def test_checks_are_deterministic_for_fixed_seed():
     # no check draws random numbers: repeated calls agree bit for bit
     inst = tk.build("counter26", 60)
     for condition, param in ((tk.HVI, 0.5), (tk.SVI, 0.5), (tk.IVI, 2 / 3)):
-        a = CHECKS[condition](inst, param)
-        assert a.to_json() == CHECKS[condition](inst, param).to_json()
+        a = _check(condition, inst, param)
+        assert a.to_json() == _check(condition, inst, param).to_json()
+
+
+# Truth-free invariants -------------------------------------------------------
+# A check of a diagonal section may depend only on the spectral measure of u+
+# and on its parameter: a verdict is monotone in the parameter, and the signs
+# of u+ move none.  The sections are the closed-form grid's power-law
+# (sigma = k**-a, u = k**-b) and geometric (sigma = q**k, u = q**(pk))
+# problems, plain, with amplitudes in [0.4, 1], with a zero head of 3 or 10
+# terms, or with every third term zero.
+
+GRID_PROBLEMS = ([("power", a, b) for a in (0.5, 1.0, 2.0)
+                  for b in (0.6, 0.75, 1.0, 1.5, 2.5)]
+                 + [("geometric", q, p) for q in (0.5, 0.8, 0.95)
+                    for p in (0.25, 0.5, 1.0, 1.5)])
+#: each check's parameters, in steps of 0.05 across its domain
+PARAM_GRIDS = {c: [round(0.05 * i, 2) for i in range(1, steps + 1)]
+               for c, steps in ((tk.STANDARD_SC, 40), (tk.HVI, 20),
+                                (tk.SVI, 40), (tk.SPECTRAL_TAIL, 39),
+                                (tk.IVI, 20))}
+
+
+@st.composite
+def _grid_sections(draw):
+    kind, s, t = draw(st.sampled_from(GRID_PROBLEMS), label="problem")
+    n = draw(st.sampled_from([60, 250]), label="n")
+    k = np.arange(1, n + 1, dtype=float)
+    sigma, u = (k ** -s, k ** -t) if kind == "power" else (s ** k, s ** (t * k))
+    variant = draw(st.sampled_from(["plain", "amplitudes", "head3", "head10",
+                                    "third"]), label="variant")
+    if variant == "amplitudes":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        u = u * rng.uniform(0.4, 1.0, n)
+    elif variant == "third":
+        u[2::3] = 0.0
+    elif variant != "plain":
+        u[:int(variant[4:])] = 0.0
+    op = tk.SpectralOperator.diagonal(sigma)
+    return SimpleNamespace(op=op, u_dagger=op.vector(u))
+
+
+@settings(max_examples=120, deadline=None)
+@given(inst=_grid_sections(), condition=st.sampled_from(sorted(PARAM_GRIDS)))
+def test_verdicts_are_monotone_in_the_parameter(inst, condition):
+    # a condition that holds at a parameter holds at every smaller one
+    verdicts = [_check(condition, inst, p).verdict
+                for p in PARAM_GRIDS[condition]]
+    if tk.REFUTED_AT_N in verdicts:
+        first = verdicts.index(tk.REFUTED_AT_N)
+        assert tk.CERTIFIED not in verdicts[first:], verdicts
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_grid_sections(), condition=st.sampled_from(sorted(PARAM_GRIDS)),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_sign_flips_of_the_solution_move_no_verdict(inst, condition, seed,
+                                                    data):
+    params = data.draw(st.lists(st.sampled_from(PARAM_GRIDS[condition]),
+                                min_size=1, max_size=4, unique=True),
+                       label="params")
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], inst.op.n)
+    flipped = SimpleNamespace(op=inst.op,
+                              u_dagger=inst.op.vector(signs
+                                                      * inst.u_dagger.coeffs))
+    for p in params:
+        assert (_check(condition, flipped, p).verdict
+                == _check(condition, inst, p).verdict), p
 
 
 # Extremal t-family -----------------------------------------------------------

@@ -9,6 +9,8 @@ import tikrates as tk
 from tikrates.tikhonov import (error_bound, min_norm_solution, solve,
                                solve_normal_equations)
 
+from helpers import null_data_directions
+
 
 def counter_instance(n=60):
     return tk.build("counter26", n)
@@ -47,7 +49,7 @@ def rank_deficient_op(seed=0, rows=8, rank=4):
 
 def test_min_norm_rejects_out_of_range_data():
     op = rank_deficient_op()
-    e = op.null_data_directions()[:, 0]
+    e = null_data_directions(op)[:, 0]
     y_ambient = op.matrix @ np.ones(8) + 0.5 * e
     with pytest.raises(tk.NotInRangeError, match="not in range"):
         min_norm_solution(op, y_ambient)
@@ -56,7 +58,7 @@ def test_min_norm_rejects_out_of_range_data():
 def test_min_norm_zeroes_tiny_out_of_range_mass_with_warning():
     op = rank_deficient_op()
     clean = op.matrix @ np.ones(8)
-    e = op.null_data_directions()[:, 0]
+    e = null_data_directions(op)[:, 0]
     noisy = clean + 3e-14 * np.linalg.norm(clean) * e
     with pytest.warns(UserWarning, match="off-range"):
         u = min_norm_solution(op, noisy)
@@ -73,7 +75,7 @@ def test_min_norm_range_test_does_not_depend_on_the_data_scale(off_range):
     op = inst.op
     clean = op.ambient_from_data(inst.y)
     y = clean + off_range * np.linalg.norm(clean) \
-        * op.null_data_directions()[:, 0]
+        * null_data_directions(op)[:, 0]
     for scale in (1.0, 1e-150, 1e-160, 1e-170):
         if off_range:
             with pytest.raises(tk.NotInRangeError, match="not in range"):
@@ -90,8 +92,7 @@ def test_solve_identity_operator_closed_form():
     op = tk.SpectralOperator.diagonal(np.ones(12), truncated=False)
     y = op.vector(np.linspace(1.0, 2.0, 12))
     for alpha in (1e-3, 0.5, 4.0):
-        sol = solve(op, y, alpha)
-        np.testing.assert_allclose(sol.solution.coeffs,
+        np.testing.assert_allclose(solve(op, y, alpha).coeffs,
                                    y.coeffs / (1.0 + alpha), rtol=1e-14)
 
 
@@ -110,17 +111,17 @@ def test_solve_over_regularization_limit():
         op = tk.SpectralOperator.diagonal(rng.uniform(0.1, 2.0, n))
         y = op.vector(rng.standard_normal(n))
         alpha = 10.0 ** rng.uniform(2, 5)
-        sol = solve(op, y, alpha)
-        assert sol.solution_norm <= y.norm() * op.sigma.max() / alpha + 1e-15
+        u = solve(op, y, alpha)
+        assert u.norm() <= y.norm() * op.sigma.max() / alpha + 1e-15
 
 
 def test_solve_matches_coordinatewise_oracle():
     inst = counter_instance(40)
     alpha = 1e-6
-    sol = solve(inst.op, inst.y, alpha)
     oracle = [s * y / (alpha + s * s)
               for s, y in zip(inst.op.sigma, inst.y.coeffs)]
-    np.testing.assert_allclose(sol.solution.coeffs, oracle, rtol=1e-12)
+    np.testing.assert_allclose(solve(inst.op, inst.y, alpha).coeffs, oracle,
+                               rtol=1e-12)
 
 
 def test_solve_satisfies_normal_equations():
@@ -130,7 +131,7 @@ def test_solve_satisfies_normal_equations():
         op = tk.SpectralOperator.diagonal(rng.uniform(0.05, 1.5, n))
         y = op.vector(rng.standard_normal(n))
         alpha = 10.0 ** rng.uniform(-8, 0)
-        u = solve(op, y, alpha).solution.coeffs
+        u = solve(op, y, alpha).coeffs
         resid = (alpha * u + op.sigma ** 2 * u) - op.sigma * y.coeffs
         rhs = op.sigma * y.coeffs
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
@@ -145,7 +146,7 @@ def test_solve_minimizer_optimality():
         return (np.sum((inst.op.sigma * coeffs - inst.y.coeffs) ** 2)
                 + alpha * np.sum(coeffs ** 2))
 
-    star = solve(inst.op, inst.y, alpha).solution.coeffs
+    star = solve(inst.op, inst.y, alpha).coeffs
     base = objective(star)
     for _ in range(25):
         v = rng.standard_normal(30) * 10.0 ** rng.uniform(-6, 0)
@@ -156,8 +157,9 @@ def test_solve_monotonicity_in_alpha():
     inst = counter_instance()
     alphas = np.logspace(-10, 2, 40)
     sols = [solve(inst.op, inst.y, a) for a in alphas]
-    residuals = [s.residual_norm for s in sols]
-    norms = [s.solution_norm for s in sols]
+    residuals = [np.linalg.norm(inst.op.sigma * u.coeffs - inst.y.coeffs)
+                 for u in sols]
+    norms = [u.norm() for u in sols]
     assert np.all(np.diff(residuals) >= -1e-15)
     assert np.all(np.diff(norms) <= 1e-15)
 
@@ -176,7 +178,7 @@ def test_filter_path_matches_normal_equations_dense():
             op = tk.SpectralOperator.from_matrix(mat)
             y_ambient = mat @ rng.standard_normal(n)
             alpha = 10.0 ** rng.uniform(-4, 0)
-            u_filter = solve(op, y_ambient, alpha).solution
+            u_filter = solve(op, y_ambient, alpha)
             u_normal = solve_normal_equations(op, y_ambient, alpha)
             np.testing.assert_allclose(u_filter.coeffs, u_normal.coeffs,
                                        rtol=1e-10, atol=1e-12)
