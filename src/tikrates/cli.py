@@ -113,16 +113,27 @@ def _load_instance(args) -> NamedInstance:
 
 
 def _numbers(spec: dict, key: str) -> np.ndarray:
-    """The operator file's ``key`` entry, a number or a (nested) list of
-    numbers, as a float array."""
+    """The operator file's ``key`` entry, a number or a rectangular (nested)
+    list of numbers, as a float array.  JSON ``true`` and ``false`` are not
+    numbers."""
     value = spec[key]
-    if isinstance(value, (int, float, list)):
-        try:
-            return np.asarray(value, dtype=float)
-        except TypeError:  # a list that holds an object
-            pass
-    raise ValueError(f"operator file: {key!r} must be a number or a list "
-                     "of numbers")
+
+    def numeric(v):
+        if isinstance(v, list):
+            return all(map(numeric, v))
+        return type(v) in (int, float)  # not isinstance: a bool is an int
+
+    if not numeric(value):
+        raise ValueError(f"operator file: {key!r} must be a number or a list "
+                         "of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # a ragged list
+        raise ValueError(f"operator file: {key!r} must be a rectangular "
+                         "list") from None
+    except OverflowError:
+        raise ValueError(f"operator file: {key!r} holds an integer beyond "
+                         "the float range") from None
 
 
 def _cmd_check(args) -> int:

@@ -30,7 +30,9 @@ section's index as depth and refuse one whose singular values increase.
 The variational checks scan deterministic probe families: ordered
 structured families, which carry the refutations, and the extremal
 t-family ``u+ / (sigma**(2 rho) + t)``, on which the pairing ratio behind
-``beta_lower`` and the ivi needed beta attain their suprema.
+``beta_lower`` and the ivi needed beta attain their suprema.  Each family
+is built on first read and kept, so a scan that refutes along an early
+family builds none of the later ones, the t-family included.
 
 Constant conventions.  The homogeneous and symmetrized checks report
 ``beta`` for the pairing form ``<u+, u> <= beta * Phi(u)``; the doubled form
@@ -168,30 +170,44 @@ def ivi_from_hvi_report(report: ConditionReport) -> tuple[float, float, float]:
 # Probe families ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class _Family:
     """Component arrays of one probe family, indexed by a deterministic
     integer sequence (basis index, head length, window start, ...).
 
     ``ip`` is the pairing with the solution, ``nrm`` the vector norm and
-    ``pnm`` the norm after the rho-power of the normal operator.
+    ``pnm`` the norm after the rho-power of the normal operator.  Given a
+    callable in place of the three arrays, the family builds them on first
+    read and keeps them, so a scan that stops early builds no later family.
     """
 
-    label: str
-    index: np.ndarray
-    ip: np.ndarray
-    nrm: np.ndarray
-    pnm: np.ndarray
-    ordered: bool
+    __slots__ = ("label", "index", "ordered", "_arrays")
+
+    def __init__(self, label, index, ip, nrm=None, pnm=None, *, ordered):
+        self.label, self.index, self.ordered = label, index, ordered
+        self._arrays = ip if callable(ip) else (ip, nrm, pnm)
+
+    def _read(self, k):
+        if callable(self._arrays):
+            # the floating-point state that probe_families builds under
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._arrays = self._arrays()
+        return self._arrays[k]
+
+    ip = property(lambda self: self._read(0))
+    nrm = property(lambda self: self._read(1))
+    pnm = property(lambda self: self._read(2))
 
 
 def _sum_family(label, index, d, w, wpow, total) -> _Family:
     """Weighted sums ``sum w_n phi_n`` over the prefixes, suffixes or sliding
     windows that ``total`` sums an array over: pairing ``total(d w)``, norm
     ``sqrt(total(w**2))``, rho-power norm ``sqrt(total(wpow w**2))``."""
-    sq = w ** 2
-    return _Family(label, index, total(d * w), np.sqrt(total(sq)),
-                   np.sqrt(total(wpow * sq)), ordered=True)
+    def build():
+        sq = w ** 2
+        ip, nrm, pnm = total(d * w), total(sq), total(wpow * sq)
+        # roots in place: builds run mid-scan, while the scan holds scores
+        return ip, np.sqrt(nrm, out=nrm), np.sqrt(pnm, out=pnm)
+    return _Family(label, index, build, ordered=True)
 
 
 # Inverse weights of deep spectra overflow; the probe scans zero every
@@ -206,6 +222,8 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     decides: basis directions, heads and suffixes of the solution, flat
     heads, and heads and 4-, 8-, 16-wide windows of ``u+ / sigma**rho``.
     The t-family carries the largest pairing ratio and ivi needed beta.
+    Each family builds its arrays on first read, so a scan that refutes
+    along an early family builds none after it.
 
     Every family is deterministic.  ``seed`` is accepted and ignored: the
     benchmark's scaling sweep (``perfbench/sweep.py``) still passes it.
@@ -216,11 +234,10 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     n = op.n
     m_index = np.arange(1, n + 1)
     wpow = sig ** (2.0 * rho)
-    # built first, so its temporaries are gone before the structured arrays
-    t_family = _t_family(op, d, rho)
 
     fams = [
-        _Family("basis", m_index, d, np.ones(n), sig ** rho, ordered=True),
+        _Family("basis", m_index, lambda: (d, np.ones(n), sig ** rho),
+                ordered=True),
         _sum_family("head", m_index, d, d, wpow, np.cumsum),
         _sum_family("head_flat", m_index, d, np.sign(d), wpow, np.cumsum),
     ]
@@ -236,14 +253,15 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     # suffix copies of the solution
     fams.append(_sum_family("tail", m_index, d, d, wpow,
                             lambda v: np.cumsum(v[::-1])[::-1]))
-
-    fams.append(t_family)
+    fams.append(_Family("t_family", np.arange(T_GRID_POINTS + 2),
+                        lambda: _t_family(op, d, rho), ordered=False))
     return fams
 
 
-def _t_family(op: SpectralOperator, d: np.ndarray, rho: float) -> _Family:
-    """The curve ``u_t = u+ / (w + t)``, ``w = lambda**rho``, at t = 0, on
-    ``T_GRID_POINTS`` log-spaced t and at t = inf, indexed by grid position.
+def _t_family(op: SpectralOperator, d: np.ndarray, rho: float):
+    """``ip``, ``nrm`` and ``pnm`` of the curve ``u_t = u+ / (w + t)``,
+    ``w = lambda**rho``, at t = 0, on ``T_GRID_POINTS`` log-spaced t and at
+    t = inf, in grid order.
 
     By KKT on a diagonal system the pairing ratio, and at ``rho = 1`` the
     ivi needed beta, peak on this curve.  Over the spectral atoms with
@@ -282,8 +300,7 @@ def _t_family(op: SpectralOperator, d: np.ndarray, rho: float) -> _Family:
     ip[-1] = nrm[-1] = mass.sum()
     pnm[-1] = np.exp(s - s[-1]) @ mass
     pnm = np.sqrt(pnm, out=pnm) * np.exp(np.append(r, s[-1]) / 2.0)
-    return _Family("t_family", np.arange(tau.size + 1), ip,
-                   np.sqrt(nrm, out=nrm), pnm, ordered=False)
+    return ip, np.sqrt(nrm, out=nrm), pnm
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:

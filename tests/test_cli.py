@@ -179,8 +179,19 @@ def test_operator_file_off_range_data_exits_two(tmp_path, capsys):
     ('{"matrix": {"a": 1}, "y": [1]}', "'matrix' must be a number"),
     ('{"diagonal": [1, 0.5], "y": {"a": 1}}', "'y' must be a number"),
     ('{"diagonal": [1, {"a": 1}], "y": [1, 1]}', "'diagonal' must be a number"),
+    # a JSON bool is not read as 1 or 0, nor a string as its number
+    ('{"diagonal": [true, 0.5], "y": [1, 0.5]}', "'diagonal' must be a number"),
+    ('{"matrix": [[1, 0], [0, false]], "y": [1, 0]}',
+     "'matrix' must be a number"),
+    ('{"diagonal": [1, 0.5], "y": true}', "'y' must be a number"),
+    ('{"diagonal": [1, "0.5"], "y": [1, 0.5]}', "'diagonal' must be a number"),
+    ('{"diagonal": [[1, 2], [3]], "y": [1]}', "'diagonal' must be a rectangular"),
+    ('{"matrix": [[1, 0], [0]], "y": [1, 0]}', "'matrix' must be a rectangular"),
+    ('{"diagonal": [1, 0.5], "y": [1, 1%s]}' % ("0" * 400),
+     "'y' holds an integer beyond the float range"),
 ], ids=["top-level-number", "diagonal-object", "matrix-object", "y-object",
-        "diagonal-list-of-object"])
+        "diagonal-list-of-object", "diagonal-bool", "matrix-bool", "y-bool",
+        "diagonal-string", "diagonal-ragged", "matrix-ragged", "y-huge-int"])
 def test_malformed_operator_file_exits_two(text, message, tmp_path, capfd):
     path = tmp_path / "op.json"
     path.write_text(text)

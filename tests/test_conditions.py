@@ -434,6 +434,39 @@ def test_ivi_with_derived_constants_builds_the_probe_families_once(
     assert rep.verdict == inst.expected[(tk.IVI, 1.0)]
 
 
+def _count_t_family_builds(monkeypatch) -> list:
+    calls = []
+    build_t_family = cond._t_family
+
+    def counted(*args):
+        calls.append(args)
+        return build_t_family(*args)
+
+    monkeypatch.setattr(cond, "_t_family", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [60, 10_000])
+def test_refuting_scan_builds_no_later_family(n, monkeypatch):
+    inst = tk.build("harmonic4", n)
+    calls = _count_t_family_builds(monkeypatch)
+    rep = tk.check_ivi(inst.op, inst.u_dagger, 1.0)
+    assert rep.verdict == tk.REFUTED_AT_N
+    assert rep.witness["family"] == "head_flat"
+    assert calls == []
+
+
+@pytest.mark.parametrize("check", [tk.check_hvi, tk.check_ivi])
+def test_certifying_scan_builds_the_t_family_once(check, monkeypatch):
+    # ivi with derived constants scans the families twice, for the
+    # equivalent hvi and for the needed beta, and builds them once
+    inst = tk.build("identity", 60)
+    calls = _count_t_family_builds(monkeypatch)
+    rep = check(inst.op, inst.u_dagger, 1.0)
+    assert rep.verdict == tk.CERTIFIED
+    assert len(calls) == 1
+
+
 def _chain_cases():
     rd = tk.build("random_diag", 60)
     (nu0,) = [p for c, p in rd.expected if c == tk.HVI]
@@ -987,7 +1020,9 @@ def test_probe_families_memory_does_not_scale_with_the_block():
     inst = tk.build("harmonic4", 20_000)
     tracemalloc.start()
     try:
-        cond.probe_families(inst.op, inst.u_dagger, 1.0)
+        # the families build on first read, so each one is read here
+        for fam in cond.probe_families(inst.op, inst.u_dagger, 1.0):
+            fam.ip, fam.nrm, fam.pnm
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
