@@ -34,6 +34,17 @@ t-family ``u+ / (sigma**(2 rho) + t)``, on which the pairing ratio behind
 is built on first read and kept, so a scan that refutes along an early
 family builds none of the later ones, the t-family included.
 
+Scale.  Every condition is positively homogeneous in the solution, so
+each check computes on one copy ``u+ * 2**-e`` only, e the ``math.frexp``
+exponent of max|u+|: u+ and ``2**k u+`` share it, and so their verdicts.
+Reported values are restored by their degree in u+: the betas, ``tail_C``,
+``C``, ``omega_norm``, pairing ratios and a witness's ``ip`` by ``2**e``;
+``S_N``, ``tail_estimate``, ``C_hat`` and the partial sums and masses of
+ssc and the tail by ``2**(2 e)``; ivi's needed beta by ``2**((2 - mu) e)``;
+slopes not at all.  A witness's ``norm`` and ``pnorm`` are those of its
+probe built from the copy.  A restored value past the float range reads
+inf, but a certificate whose constants leave it refuses the check.
+
 Constant conventions.  The homogeneous and symmetrized checks report
 ``beta`` for the pairing form ``<u+, u> <= beta * Phi(u)``; the doubled form
 of the defining inequality uses twice that value.  The converters
@@ -45,15 +56,15 @@ does exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from ._domain import in_interval
 from ._fitting import ls_line
-from .operators import (CoeffVector, SpectralOperator, _require_same_frame,
-                        _spectral_atoms)
+from .operators import (CoeffVector, SpectralOperator, _pow2_scaled,
+                        _require_same_frame, _spectral_atoms)
 
 CERTIFIED = "Certified"
 REFUTED_AT_N = "RefutedAtN"
@@ -136,7 +147,11 @@ def hvi_to_ivi_certificate(beta: float, nu: float) -> tuple[float, float, float]
     beta = in_interval("beta", beta, "[0, inf)")
     nu = in_interval("nu", nu, "(0, 1]")
     mu = 2.0 * nu / (1.0 + nu)
-    beta_prime = (1.0 + nu) / 2.0 * beta ** (2.0 / (1.0 + nu))
+    try:
+        beta_prime = (1.0 + nu) / 2.0 * beta ** (2.0 / (1.0 + nu))
+    except OverflowError:
+        raise ValueError("beta' = (1 + nu)/2 beta**(2/(1 + nu)) overflows "
+                         "the float range") from None
     gamma = (1.0 - nu) / 2.0
     return mu, beta_prime, gamma
 
@@ -225,11 +240,11 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     Each family builds its arrays on first read, so a scan that refutes
     along an early family builds none after it.
 
-    Every family is deterministic.  ``seed`` is accepted and ignored: the
+    Every family is built from the scaled copy of the solution that the
+    checks read, and is deterministic.  ``seed`` is accepted and ignored: the
     benchmark's scaling sweep (``perfbench/sweep.py``) still passes it.
     """
-    _require_same_frame(u_dagger.frame, op.domain)
-    d = u_dagger.coeffs
+    d = _solution(op, u_dagger)[0].coeffs
     sig = op.sigma
     n = op.n
     m_index = np.arange(1, n + 1)
@@ -350,12 +365,51 @@ def _divergent(index: np.ndarray, values: np.ndarray) -> tuple[bool, float]:
     return _grows(idx, val)
 
 
-def _require_depth_order(op: SpectralOperator) -> None:
-    """The checks read a truncated section's index as depth, so its singular
-    values must not increase; an exact operator has no depth to read."""
+def _solution(op, u_dagger: CoeffVector) -> tuple[CoeffVector, int]:
+    """The copy ``u+ * 2**-e`` that the checks read, and e, on a section
+    whose index reads as depth: a truncated one's singular values must not
+    increase."""
+    _require_same_frame(u_dagger.frame, op.domain)
     if op.truncated and np.any(op.sigma[1:] > op.sigma[:-1]):
         raise ValueError("a truncated section must list its singular values "
                          "in non-increasing order")
+    d, e = _pow2_scaled(u_dagger.coeffs)
+    return (u_dagger if e == 0 else CoeffVector(d, op.domain)), e
+
+
+def _scale(x, degree: float, e: int):
+    """``x * 2**(degree * e)`` with one rounding; inf past the float range."""
+    k = degree * e
+    with np.errstate(over="ignore"):
+        return np.ldexp(x * 2.0 ** (k % 1.0), int(k // 1.0))
+
+
+#: Degree in u+ of the reported values, by key in a report's constants and
+#: witness; :func:`_restored` takes the diagnostics' and any other.
+_DEGREES = {**dict.fromkeys(("S_N", "tail_estimate", "C_hat"), 2.0),
+            **dict.fromkeys(("beta", "beta_lower", "beta_direct", "tail_C",
+                             "beta_from_tail", "C", "omega_norm", "ip",
+                             "omega_norm_partial", "ratio"), 1.0)}
+
+
+def _restored(rep, e: int, diagnostics: float, **degrees) -> ConditionReport:
+    """``rep``, computed on ``u+ * 2**-e``, as the report on u+, with the
+    diagnostics' degree and any others given (see the module's Scale)."""
+    if e == 0:
+        return rep
+    degree = {**_DEGREES, **degrees}
+    def up(values: dict) -> dict:
+        return {k: float(_scale(v, degree[k], e)) if k in degree else v
+                for k, v in values.items()}
+    constants = up(rep.constants)
+    finite = np.isfinite([*constants.values()]).all()
+    if rep.verdict == CERTIFIED and not finite:
+        raise ValueError(f"the {rep.condition} certificate leaves the float "
+                         "range at this scale of the solution")
+    xs, ys = np.reshape(rep.diagnostics, (-1, 2)).T
+    diag = list(zip(xs.tolist(), _scale(ys, diagnostics, e).tolist()))
+    return replace(rep, constants=constants, diagnostics=diag,
+                   witness=rep.witness and up(rep.witness))
 
 
 def _decimate(xs, ys) -> list:
@@ -382,12 +436,12 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     sums and power-law terms with exponent at or above -1 refute; steeper
     power laws, geometric decay, sums that stop growing and a negligible
     remainder certify; other tails stay inconclusive.  A term
-    ``u_n**2 sigma_n**(-2 nu)`` that overflows raises ``ValueError``.
+    ``u_n**2 sigma_n**(-2 nu)`` of the scaled copy that overflows raises
+    ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2]")
-    _require_depth_order(op)
-    _require_same_frame(u_dagger.frame, op.domain)
-    d = u_dagger.coeffs
+    v, e = _solution(op, u_dagger)
+    d = v.coeffs
     n = op.n
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (d * op.sigma ** -nu) ** 2
@@ -399,8 +453,9 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
     diag = _decimate(m_index, partial)
 
     def report(verdict, constants, witness=None, notes=()):
-        return ConditionReport(STANDARD_SC, nu, verdict, constants, diag,
-                               n, witness, tuple(notes))
+        return _restored(ConditionReport(STANDARD_SC, nu, verdict, constants,
+                                         diag, n, witness, tuple(notes)),
+                         e, 2.0)
 
     omega = float(np.sqrt(total))
     if not op.truncated:
@@ -477,16 +532,16 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
     that underflows raises ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2)")
-    _require_depth_order(op)
-    _require_same_frame(u_dagger.frame, op.domain)
-    lam_u, mass = _spectral_atoms(op, u_dagger.coeffs ** 2)
+    v, e = _solution(op, u_dagger)
+    lam_u, mass = _spectral_atoms(op, v.coeffs ** 2)
     t_cum = np.cumsum(mass)
     n = op.n
     diag = _decimate(lam_u, t_cum)
 
     def report(verdict, constants, witness=None, notes=()):
-        return ConditionReport(SPECTRAL_TAIL, nu, verdict, constants, diag,
-                               n, witness, tuple(notes))
+        return _restored(ConditionReport(SPECTRAL_TAIL, nu, verdict,
+                                         constants, diag, n, witness,
+                                         tuple(notes)), e, 2.0, ratio=2.0)
 
     if t_cum[-1] == 0.0:
         return report(CERTIFIED, {"C": 0.0})
@@ -669,9 +724,10 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector,
     the t grid's spacing (within about 1e-4 relative).
     """
     nu = in_interval("nu", nu, "(0, 1]")
-    _require_depth_order(op)
-    return _check_pairing_vi(op, u_dagger, nu, 1.0, HVI,
-                             probe_families(op, u_dagger, 1.0))
+    v, e = _solution(op, u_dagger)
+    return _restored(_check_pairing_vi(op, v, nu, 1.0, HVI,
+                                       probe_families(op, v, 1.0)),
+                     e, 1.0)
 
 
 def check_svi(op: SpectralOperator, u_dagger: CoeffVector,
@@ -681,9 +737,10 @@ def check_svi(op: SpectralOperator, u_dagger: CoeffVector,
     of the forward map, and the split bound, the tail route and the
     t-family built at ``rho = 2``."""
     nu = in_interval("nu", nu, "(0, 2]")
-    _require_depth_order(op)
-    return _check_pairing_vi(op, u_dagger, nu, 2.0, SVI,
-                             probe_families(op, u_dagger, 2.0))
+    v, e = _solution(op, u_dagger)
+    return _restored(_check_pairing_vi(op, v, nu, 2.0, SVI,
+                                       probe_families(op, v, 2.0)),
+                     e, 1.0)
 
 
 # Inhomogeneous variational inequality ---------------------------------------
@@ -730,35 +787,41 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     constants give.
     """
     mu = in_interval("mu", mu, "(0, 1]")
-    _require_depth_order(op)
-    fams = probe_families(op, u_dagger, 1.0)
-    hvi = _check_pairing_vi(op, u_dagger, mu / (2.0 - mu), 1.0, HVI, fams)
+    v, e = _solution(op, u_dagger)
+    deg = 2.0 - mu  # at fixed gamma, the degree in u+ of the needed beta
+    fams = probe_families(op, v, 1.0)
+    hvi = _check_pairing_vi(op, v, mu / deg, 1.0, HVI, fams)
     if hvi.verdict == CERTIFIED:
-        derived = ivi_from_hvi_report(hvi)[1:]
+        derived = ivi_from_hvi_report(_restored(hvi, e, 1.0))[1:]
     else:
         derived = 4.0 * (1.0 + u_dagger.norm()), 0.0 if mu == 1.0 else 0.5
+    chained = beta is None and hvi.verdict == CERTIFIED
     beta = in_interval("beta", derived[0] if beta is None else beta, "[0, inf)")
     gamma = in_interval("gamma", derived[1] if gamma is None else gamma, "[0, 1)")
+    # beta on the copy, where the needed beta is read; a chained one as the
+    # copy's hvi gives it, since its restore can leave the float range
+    beta_s = ivi_from_hvi_report(hvi)[1] if chained else _scale(beta, -deg, e)
     n = op.n
+    # beta is in u+'s units already; a refutation's diagnostics are the
+    # hvi's pairing ratios, and otherwise the needed betas
     if hvi.verdict == REFUTED_AT_N:
-        return ConditionReport(
+        return _restored(ConditionReport(
             IVI, mu, REFUTED_AT_N,
             {"beta": beta, "gamma": gamma,
              "trace_slope": hvi.constants["trace_slope"]},
             hvi.diagnostics, n, witness=hvi.witness,
             notes=("the equivalent homogeneous inequality at nu = "
                    f"{hvi.parameter:.6g} is refuted along the family "
-                   f"{hvi.witness['family']!r}; no constants can hold",))
-    if not np.any(u_dagger.coeffs):
-        return ConditionReport(IVI, mu, CERTIFIED,
-                               {"beta": beta, "gamma": gamma}, [], n)
+                   f"{hvi.witness['family']!r}; no constants can hold",)),
+            e, 1.0, beta=0.0)
 
     worst_need, fam, k, need, _ = _worst_probe(
         fams, lambda f: _needed_beta(f, mu, gamma), read_traces=False)
-    refuted = worst_need > beta * (1.0 + REL_SLACK) + 1e-12
-    return ConditionReport(
+    refuted = worst_need > beta_s * (1.0 + REL_SLACK) + 1e-12
+    return _restored(ConditionReport(
         IVI, mu, REFUTED_AT_N if refuted else CERTIFIED,
         {"beta": beta, "gamma": gamma, "needed_beta": worst_need},
         _decimate(fam.index, need) if fam is not None and fam.ordered else [],
         n, witness=None if fam is None else _witness(
-            fam, k, needed_beta=worst_need))
+            fam, k, needed_beta=worst_need)), e, deg, beta=0.0,
+        needed_beta=deg)

@@ -80,10 +80,24 @@ class CoeffVector:
         raise AttributeError("CoeffVector is immutable")
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return _norm(self.coeffs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CoeffVector(n={self.coeffs.size}, frame={self.frame.label!r})"
+
+
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x * 2**-e, e)``, e the ``math.frexp`` exponent of max|x|: no square
+    of the copy overflows, nor all underflow; ``x`` itself when e = 0."""
+    e = math.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1]
+    return (x, 0) if e == 0 else (np.ldexp(x, -e), e)
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of ``x``, summed at the power of two of max|x|."""
+    x, e = _pow2_scaled(x)
+    with np.errstate(over="ignore"):  # past the float range: inf
+        return float(np.ldexp(np.linalg.norm(x), e))
 
 
 def _require_same_frame(a: Frame, b: Frame) -> None:
@@ -289,9 +303,7 @@ class SpectralOperator:
             return CoeffVector(y, self.data), 0.0
         if y.shape[0] != self._u_range.shape[0]:
             raise ValueError("ambient data length does not match matrix rows")
-        # at the power of two of max|y| no product or square underflows
-        e = math.frexp(float(np.max(np.abs(y))))[1]
-        y = np.ldexp(y, -e)
+        y, e = _pow2_scaled(y)
         coeffs = self._u_range.T @ y
         # explicit residual: a difference of squared norms would lose half
         # the significant digits to cancellation
@@ -358,8 +370,7 @@ def spectral_projection_norm(op: SpectralOperator, u: CoeffVector,
     """
     _require_same_frame(u.frame, op.domain)
     lam = in_interval("lam", lam, "[0, inf)")
-    mask = op.lambdas <= lam
-    return float(np.sqrt(np.sum(u.coeffs[mask] ** 2)))
+    return _norm(u.coeffs[op.lambdas <= lam])
 
 
 def _spectral_atoms(op: SpectralOperator,

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._domain import in_interval
 from ._fitting import best_loglog_window
-from .operators import CoeffVector, SpectralOperator
+from .operators import CoeffVector, SpectralOperator, _pow2_scaled
 from .tikhonov import min_norm_solution, solve_normal_equations
 
 #: Residual ceiling (log10 units) for the accepted fit window.
@@ -174,9 +174,9 @@ def _kernel(op, u_dag: CoeffVector, dirs: np.ndarray | None, rows: int):
     directions ``e`` expand ``||b + delta r*e||**2`` into ``||b||**2 +
     2 delta (b*r).e + delta**2 (r*r).(e*e)``."""
     sig, lam, u = op.sigma, op.sigma ** 2, u_dag.coeffs
-    top = float(np.max(np.abs(u)))
-    e_top = math.frexp(top)[1]
-    u_top = np.ldexp(u, -e_top)
+    u_top, e_top = _pow2_scaled(u)
+    # a power of two with max|u+|'s exponent, for the exponent of max(., delta)
+    top = math.ldexp(0.5, e_top) if u.any() else 0.0
     dirs_sq = None if dirs is None else dirs * dirs
     den_buf, bias_buf = np.empty((rows, op.n)), np.empty((rows, op.n))
 

@@ -11,14 +11,14 @@ alternatively be solved through its normal equations
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._domain import in_interval
-from .operators import CoeffVector, SpectralOperator, _require_same_frame
+from .operators import (CoeffVector, SpectralOperator, _norm,
+                        _require_same_frame)
 
 logger = logging.getLogger(__name__)
 
@@ -83,10 +83,7 @@ def min_norm_solution(op: SpectralOperator, y) -> CoeffVector:
     rejected; smaller mass is zeroed with a logged warning.
     """
     coeffs, off = _as_data_coeffs(op, y)
-    # the norm at the power of two of the largest entry: no square underflows
-    e = math.frexp(max(float(np.max(np.abs(coeffs))), off))[1]
-    ynorm = math.ldexp(float(np.hypot(np.linalg.norm(np.ldexp(coeffs, -e)),
-                                      math.ldexp(off, -e))), e)
+    ynorm = _norm(np.append(coeffs, off))
     if off > RANGE_RTOL * max(ynorm, 1e-300):
         raise NotInRangeError(
             f"data not in range: off-range mass {off:.3e} (norm {ynorm:.3e})")

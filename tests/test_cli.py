@@ -202,6 +202,35 @@ def test_malformed_operator_file_exits_two(text, message, tmp_path, capfd):
     assert "Traceback" not in err
 
 
+# diagonal sections whose solution's squares underflow (near 1e-170) or
+# whose sums of squares overflow (near 1e154); tools/golden.py pins both
+_K60 = range(1, 61)
+EXTREME_SCALES = {
+    "op_tiny": ([2.0 ** -k for k in _K60],
+                [1e-170 * 2.0 ** (-k / 2) for k in _K60]),
+    "op_huge": ([1.0 / k for k in _K60], [1e154 / k for k in _K60]),
+}
+
+
+@pytest.mark.parametrize("name", EXTREME_SCALES)
+def test_operator_file_at_an_extreme_scale_reads_as_at_unit_scale(
+        name, tmp_path, capsys):
+    sigma, u = EXTREME_SCALES[name]
+    verdicts = {}
+    for scale in (1.0, 0.5 / max(u)):  # as written, and max|u+| = 1/2
+        path = tmp_path / f"{name}_{scale!r}.json"
+        path.write_text(json.dumps({"diagonal": sigma, "y": [
+            s * scale * v for s, v in zip(sigma, u)]}))
+        for condition, nu in (("hvi", "0.5"), ("ssc", "1.0"), ("svi", "1.0")):
+            assert main(["check", "--instance", str(path), "--condition",
+                         condition, "--nu", nu, "--no-timestamp"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            verdicts.setdefault(condition, []).append(
+                json.loads(captured.out)["verdict"])
+    assert all(a == b for a, b in verdicts.values()), verdicts
+
+
 def test_checks_are_looked_up_on_the_conditions_module(monkeypatch, capsys):
     # a wrapper installed on the module, as perfbench's spans install one,
     # sees the checks that the command line and run_battery run

@@ -1,6 +1,7 @@
 """Tests for the condition checkers and certificate conversions."""
 
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -664,25 +665,32 @@ def test_tail_constant_bounds_every_split_value(case):
     assert check(op, u, nu).constants["beta_lower"] <= bound * (1.0 + 1e-12)
 
 
+#: constants of degree 1 in u+: they scale as u+ does
+DEGREE_ONE = {"beta", "beta_lower", "beta_direct", "beta_from_tail", "tail_C",
+              "C", "omega_norm", "omega_norm_partial"}
+
+
 def test_scaling_invariance_of_verdicts_and_constants():
-    inst = tk.build("counter26", 60)
-    base_hvi = tk.check_hvi(inst.op, inst.u_dagger, 0.5)
-    base_tail = tk.check_spectral_tail(inst.op, inst.u_dagger, 0.5)
-    base_ssc = tk.check_standard_sc(inst.op, inst.u_dagger, 0.4)
-    for c in (0.125, 3.0, 17.0):
-        scaled = inst.op.vector(c * inst.u_dagger.coeffs)
-        hvi = tk.check_hvi(inst.op, scaled, 0.5)
-        assert hvi.verdict == base_hvi.verdict
-        assert hvi.constants["beta"] == pytest.approx(
-            c * base_hvi.constants["beta"], rel=1e-9)
-        tail = tk.check_spectral_tail(inst.op, scaled, 0.5)
-        assert tail.verdict == base_tail.verdict
-        assert tail.constants["C"] == pytest.approx(
-            c * base_tail.constants["C"], rel=1e-9)
-        ssc = tk.check_standard_sc(inst.op, scaled, 0.4)
-        assert ssc.verdict == base_ssc.verdict
-        assert ssc.constants["omega_norm"] == pytest.approx(
-            c * base_ssc.constants["omega_norm"], rel=1e-9)
+    # every documented (instance, condition, parameter) at n = 60, at scales
+    # whose squares underflow (1e-170) or whose sums of squares overflow
+    for name in tk.INSTANCE_NAMES:
+        inst = tk.build(name, 60)
+        for condition, param in sorted(inst.expected):
+            base = _check(condition, inst, param)
+            for c in (0.125, 3.0, 17.0, 1e-150, 1e-170, 1e150):
+                scaled = SimpleNamespace(op=inst.op, u_dagger=inst.op.vector(
+                    c * inst.u_dagger.coeffs))
+                rep = _check(condition, scaled, param)
+                where = (name, condition, param, c)
+                assert rep.verdict == base.verdict, where
+                # at fixed gamma, ivi's needed beta has degree 2 - mu; its
+                # beta need not scale (the 4 (1 + ||u+||) fallback)
+                degree = ({"needed_beta": 2.0 - param} if condition == tk.IVI
+                          else dict.fromkeys(DEGREE_ONE, 1.0))
+                for key in degree.keys() & base.constants.keys():
+                    assert rep.constants[key] == pytest.approx(
+                        c ** degree[key] * base.constants[key], rel=1e-9,
+                        abs=0.0), (*where, key)
 
 
 def test_closed_range_equivalence_on_exact_instances():
@@ -823,7 +831,44 @@ def test_sign_flips_of_the_solution_move_no_verdict(inst, condition, seed,
                 == _check(condition, inst, p).verdict), p
 
 
+@settings(max_examples=150, deadline=None)
+@given(inst=_grid_sections(), condition=st.sampled_from(sorted(PARAM_GRIDS)),
+       data=st.data())
+def test_power_of_two_scales_of_the_solution_move_no_verdict(inst, condition,
+                                                              data):
+    # every check reads u+ at its power of two, so u+ and 2**k u+ give the
+    # same verdicts and degree-1 constants exactly 2**k times as large, down
+    # to max|u+| near 2**-560 and up to 2**498, with no entry subnormal
+    d = inst.u_dagger.coeffs
+    e_max = math.frexp(np.abs(d).max())[1]
+    e_min = math.frexp(np.abs(d[d != 0.0]).min())[1]
+    k = data.draw(st.integers(max(-560 - e_max, -1021 - e_min),
+                              498 - e_max), label="k")
+    scaled = SimpleNamespace(op=inst.op,
+                             u_dagger=inst.op.vector(np.ldexp(d, k)))
+    params = data.draw(st.lists(st.sampled_from(PARAM_GRIDS[condition]),
+                                min_size=1, max_size=2, unique=True),
+                       label="params")
+    for p in params:
+        base, rep = _check(condition, inst, p), _check(condition, scaled, p)
+        if condition == tk.IVI:
+            # the 4 (1 + ||u+||) fallback of an open hvi does not scale
+            if _check(tk.HVI, inst, p / (2.0 - p)).verdict != tk.INCONCLUSIVE:
+                assert rep.verdict == base.verdict, p
+            continue
+        assert rep.verdict == base.verdict, p
+        for key in ("beta", "beta_lower", "C", "omega_norm"):
+            if key in base.constants:
+                assert rep.constants[key] == np.ldexp(base.constants[key], k)
+
+
 # Extremal t-family -----------------------------------------------------------
+
+
+def _pow2_copy(d):
+    """``d * 2**-e`` with max|d * 2**-e| in [1/2, 1): the copy of u+ that
+    every check computes on."""
+    return np.ldexp(d, -math.frexp(np.abs(d).max())[1])
 
 
 def _explicit_family(probes, d, wpow):
@@ -847,9 +892,12 @@ def test_t_family_attains_the_supremum_of_random_probes(seed):
     + t)``, and the t grid is within 1e-4 of a 10^5-point scan of it."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 13))
-    sigma = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    # in depth order, which a truncated section must keep
+    sigma = np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))[::-1]
     d = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 0.0, n)
     op = tk.SpectralOperator.diagonal(sigma)
+    u = op.vector(d)
+    d = _pow2_copy(d)  # the copy the families are built from
     nu, mu, gamma = rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.99), \
         rng.uniform(0.01, 0.99)
     cases = ((1.0, lambda f: cond._pairing_ratios(f, nu)),      # hvi at nu
@@ -859,7 +907,7 @@ def test_t_family_attains_the_supremum_of_random_probes(seed):
     random[5_000:] = np.abs(random[5_000:]) * np.sign(d)  # sign-aligned
     for rho, score in cases:
         wpow = sigma ** (2.0 * rho)
-        t_fam = cond.probe_families(op, op.vector(d), rho)[-1]
+        t_fam = cond.probe_families(op, u, rho)[-1]
         assert t_fam.label == "t_family"
         grid_best = score(t_fam).max()
         lo, hi = np.log(wpow.min() / 1e3), np.log(wpow.max() * 1e3)
@@ -904,7 +952,7 @@ def _t_family_reference(op, d, rho):
 def _assert_t_family_matches_reference(op, u, rho):
     fam = cond.probe_families(op, u, rho)[-1]
     assert fam.label == "t_family"
-    ip, nrm, pnm = _t_family_reference(op, u.coeffs, rho)
+    ip, nrm, pnm = _t_family_reference(op, _pow2_copy(u.coeffs), rho)
     assert np.array_equal(fam.index, np.arange(cond.T_GRID_POINTS + 2))
     np.testing.assert_allclose(fam.ip, ip, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fam.nrm, nrm, rtol=1e-12, atol=0.0)

@@ -181,6 +181,9 @@ REJECTIONS = {
             None, _nan_corner(DENSE.op._u_range), DENSE.op.sigma,
             DENSE.op._vt_range),
         "singular vectors must be finite"),
+    "hvi-to-ivi-overflow": (
+        lambda tmp: tk.hvi_to_ivi_certificate(1e300, 0.5),
+        "overflows the float range"),
     "ambient-wrong-length": (
         lambda tmp: DENSE.op.data_from_ambient(np.ones(Y_AMB.size + 1)),
         "does not match matrix rows"),

@@ -179,6 +179,29 @@ def test_projection_norm_harmonic_example():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+K60 = np.arange(1, 61, dtype=float)
+
+
+@pytest.mark.parametrize("u", [1e-170 / K60, 1e-300 / K60, np.full(60, 1e154),
+                               1e300 / K60], ids=["1e-170/k", "1e-300/k",
+                                                  "1e154", "1e300/k"])
+def test_norms_leave_no_square_to_underflow_or_overflow(u):
+    # the squares of these coefficients underflow, or their sum overflows
+    op = tk.SpectralOperator.diagonal(1.0 / K60)
+    v = op.vector(u)
+    want = u[0] * np.sqrt(np.sum((u / u[0]) ** 2))
+    assert v.norm() == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert spectral_projection_norm(op, v, 1.0) == pytest.approx(
+        want, rel=1e-14, abs=0.0)
+    # the lowest atom alone: no larger coefficient sets its scale
+    assert spectral_projection_norm(op, v, float(op.lambdas[-1])) == u[-1]
+
+
+def test_norm_past_the_float_range_is_inf():
+    assert tk.SpectralOperator.diagonal(np.ones(4)).vector(
+        np.full(4, 1e308)).norm() == np.inf
+
+
 def test_projection_norm_rejects_negative_lambda():
     op, d = geometric_op()
     with pytest.raises(ValueError):

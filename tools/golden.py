@@ -2,15 +2,16 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 148 files into OUTDIR: ``conformance --all``; ``lemmas --count
+Writes 158 files into OUTDIR: ``conformance --all``; ``lemmas --count
 2000``; ``check`` on every documented (instance, condition, parameter) at
 n = 60; every invocation of the three benchmark workloads in
 ``perfbench/workloads.py`` at seed 1 (deep checks at n = 10^4 and 10^5,
 the rate sweeps with 100- to 200-point fit windows, and the lemma and dense
 finite_rank calls); harmonic4 hvi at nu = 1 and n = 10^5, where the needed
-constant grows like ``sqrt(log n)``; five operator JSON files, three
-diagonal sections, a rank-3 integer matrix with two null directions and a
-full-rank square matrix, each with ambient data and each run through
+constant grows like ``sqrt(log n)``; seven operator JSON files, five
+diagonal sections (two with a solution near 1e-170 and near 1e154), a
+rank-3 integer matrix with two null directions and a full-rank square
+matrix, each with ambient data and each run through
 ``check`` (hvi at nu = 0.5, ssc and svi at nu = 1.0) and ``rates --mode
 noisy``, where two of the diagonal sections hold the only svi refutations
 along the window probe families (see ``OPERATOR_FILES``); ``check --condition
@@ -52,7 +53,10 @@ BENCHMARK_SEED = 1
 # documented instance: on op_zero_head (u_k = 1/k past a zero head) svi at
 # nu = 1 is refuted along window8_inv_weight, else along window16_inv_weight;
 # on op_dented (u_k = k**-1.5 at even k only) only window16_inv_weight
-# refutes it.  Without those families both certify.
+# refutes it.  Without those families both certify.  The last two pin the
+# scale of the solution: on op_tiny the squares of u+ (near 1e-170)
+# underflow, on op_huge (near 1e154) their sums overflow, unless the checks
+# read u+ at its power of two.
 K = range(1, 61)
 
 
@@ -73,6 +77,9 @@ OPERATOR_FILES = {
                   "y": [8, 5, 7, 13, 7, 10]},
     "op_square": {"matrix": [[4, 1, 0], [1, 3, 1], [0, 1, 2]],
                   "y": [5, 5, 3]},
+    "op_tiny": _diagonal_file([2.0 ** -k for k in K],
+                              [1e-170 * 2.0 ** (-k / 2) for k in K]),
+    "op_huge": _diagonal_file([1.0 / k for k in K], [1e154 / k for k in K]),
 }
 # ivi checks with one constant supplied and the other derived
 ONE_CONSTANT_IVI = (("identity", "--gamma", "0.25"),
