@@ -1,10 +1,11 @@
-"""Domain guard for the public scalar parameters: each domain is written once,
+"""Domain guards for the public scalar parameters: each domain is written once,
 as an interval string such as ``"(0, 1]"`` or ``"[0, inf)"``, which serves
-as both the rule and the error message."""
+as both the rule and the error message; counts take :func:`check_count`."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import lru_cache
 
@@ -24,3 +25,9 @@ def in_interval(name: str, value, interval: str) -> float:
     if _rule(interval)(x := float(value)):
         return x
     raise ValueError(f"{name} must lie in {interval}")
+
+
+def check_count(name: str, n) -> None:
+    """Raise ``ValueError`` unless ``n`` is an integer, not a bool, >= 1."""
+    if type(n) is bool or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} must be at least 1, as an integer")

@@ -190,16 +190,16 @@ class _Family:
     integer sequence (basis index, head length, window start, ...).
 
     ``ip`` is the pairing with the solution, ``nrm`` the vector norm and
-    ``pnm`` the norm after the rho-power of the normal operator.  Given a
-    callable in place of the three arrays, the family builds them on first
-    read and keeps them, so a scan that stops early builds no later family.
+    ``pnm`` the norm after the rho-power of the normal operator.  ``build``
+    returns the three; the family calls it on first read and keeps them, so
+    a scan that stops early builds no later family.
     """
 
     __slots__ = ("label", "index", "ordered", "_arrays")
 
-    def __init__(self, label, index, ip, nrm=None, pnm=None, *, ordered):
+    def __init__(self, label, index, build, *, ordered):
         self.label, self.index, self.ordered = label, index, ordered
-        self._arrays = ip if callable(ip) else (ip, nrm, pnm)
+        self._arrays = build
 
     def _read(self, k):
         if callable(self._arrays):
@@ -395,8 +395,6 @@ _DEGREES = {**dict.fromkeys(("S_N", "tail_estimate", "C_hat"), 2.0),
 def _restored(rep, e: int, diagnostics: float, **degrees) -> ConditionReport:
     """``rep``, computed on ``u+ * 2**-e``, as the report on u+, with the
     diagnostics' degree and any others given (see the module's Scale)."""
-    if e == 0:
-        return rep
     degree = {**_DEGREES, **degrees}
     def up(values: dict) -> dict:
         return {k: float(_scale(v, degree[k], e)) if k in degree else v
@@ -406,6 +404,8 @@ def _restored(rep, e: int, diagnostics: float, **degrees) -> ConditionReport:
     if rep.verdict == CERTIFIED and not finite:
         raise ValueError(f"the {rep.condition} certificate leaves the float "
                          "range at this scale of the solution")
+    if e == 0:
+        return rep
     xs, ys = np.reshape(rep.diagnostics, (-1, 2)).T
     diag = list(zip(xs.tolist(), _scale(ys, diagnostics, e).tolist()))
     return replace(rep, constants=constants, diagnostics=diag,
@@ -428,33 +428,34 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
                       nu: float) -> ConditionReport:
     """Classify membership of the solution in the range of the normal
     operator to the power ``nu / 2`` from the growth of the partial sums
-    ``S_m = sum_{n <= m} sigma_n**(-2 nu) u_n**2``.
+    ``S_m`` of the terms ``sigma**(-2 nu) u**2``.
 
     On an exact finite operator the membership is unconditional and the
-    certificate norm is ``sqrt(S_N)``.  On a truncated section the terms
-    of the second half are classified: flat or growing terms under growing
-    sums and power-law terms with exponent at or above -1 refute; steeper
-    power laws, geometric decay, sums that stop growing and a negligible
-    remainder certify; other tails stay inconclusive.  A term
-    ``u_n**2 sigma_n**(-2 nu)`` of the scaled copy that overflows raises
-    ``ValueError``.
+    certificate norm is ``sqrt(S_N)``.  On a truncated section a term is one
+    spectral atom's, in depth order: depth counts atoms.  The terms of the
+    second half are classified: flat or growing terms under growing sums
+    and power-law terms with exponent at or above -1 refute; steeper power
+    laws, geometric decay, sums that stop growing and a negligible remainder
+    certify; other tails stay inconclusive.  A non-finite ``S_N`` of the
+    scaled copy raises ``ValueError``.
     """
     nu = in_interval("nu", nu, "(0, 2]")
     v, e = _solution(op, u_dagger)
-    d = v.coeffs
-    n = op.n
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (d * op.sigma ** -nu) ** 2
-    if not np.all(np.isfinite(terms)):
-        raise ValueError(f"u+**2 sigma**(-2 nu) overflows at nu = {nu:g}")
-    partial = np.cumsum(terms)
+        terms = (v.coeffs * op.sigma ** -nu) ** 2
+        if op.truncated:  # one term per atom, in depth order
+            terms = _spectral_atoms(op, terms)[1][::-1]
+        partial = np.cumsum(terms)
     total = float(partial[-1])
+    if not np.isfinite(total):
+        raise ValueError(f"u+**2 sigma**(-2 nu) overflows at nu = {nu:g}")
+    n = terms.size
     m_index = np.arange(1, n + 1)
     diag = _decimate(m_index, partial)
 
     def report(verdict, constants, witness=None, notes=()):
         return _restored(ConditionReport(STANDARD_SC, nu, verdict, constants,
-                                         diag, n, witness, tuple(notes)),
+                                         diag, op.n, witness, tuple(notes)),
                          e, 2.0)
 
     omega = float(np.sqrt(total))
@@ -496,7 +497,7 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
                           witness={"kind": "power_law_terms",
                                    "exponent": pow_slope})
         if pow_slope <= POWER_CONVERGENT:
-            tail_bound = float(t_w[pos][-1] * n / max(-pow_slope - 1.0, 1e-12))
+            tail_bound = float(t_w[pos][-1] * n / (-pow_slope - 1.0))
             return report(CERTIFIED, {"omega_norm": omega,
                                       "tail_estimate": tail_bound, **fit_stats})
         return report(INCONCLUSIVE, {"omega_norm_partial": omega, **fit_stats},
@@ -504,7 +505,7 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
                              "boundary at this truncation",))
     if geo_slope <= GEO_TERM_SLOPE:
         r = float(np.exp(geo_slope))
-        tail_bound = float(t_w[pos][-1] * r / (1.0 - r)) if r < 1.0 else np.inf
+        tail_bound = float(t_w[pos][-1] * r / (1.0 - r))
         return report(CERTIFIED, {"omega_norm": omega,
                                   "tail_estimate": tail_bound, **fit_stats})
     if not s_grows:
@@ -535,19 +536,19 @@ def check_spectral_tail(op: SpectralOperator, u_dagger: CoeffVector,
     v, e = _solution(op, u_dagger)
     lam_u, mass = _spectral_atoms(op, v.coeffs ** 2)
     t_cum = np.cumsum(mass)
-    n = op.n
     diag = _decimate(lam_u, t_cum)
 
     def report(verdict, constants, witness=None, notes=()):
         return _restored(ConditionReport(SPECTRAL_TAIL, nu, verdict,
-                                         constants, diag, n, witness,
+                                         constants, diag, op.n, witness,
                                          tuple(notes)), e, 2.0, ratio=2.0)
 
     if t_cum[-1] == 0.0:
         return report(CERTIFIED, {"C": 0.0})
     if lam_u[0] ** nu == 0.0:
         raise ValueError(f"lambda**nu underflows at nu = {nu:g}")
-    ratios = t_cum / lam_u ** nu
+    with np.errstate(over="ignore"):  # inf: refused if it certifies
+        ratios = t_cum / lam_u ** nu
     c_hat = float(ratios.max())
     c_const = float(np.sqrt(c_hat))
     k_max = int(np.argmax(ratios))
@@ -685,7 +686,7 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, fams):
         # form, so the tail route decides only where the split bound fails
         try:
             tail_rep = check_spectral_tail(op, u_dagger, nu)
-        except ValueError:  # lambda**nu underflows: no tail route
+        except ValueError:  # lambda**nu underflows or C overflows
             tail_rep = None
         if tail_rep is not None and tail_rep.verdict == CERTIFIED:
             tail_c = tail_rep.constants["C"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import in_interval
+from ._domain import check_count, in_interval
 from ._fitting import best_loglog_window
 from .operators import CoeffVector, SpectralOperator, _pow2_scaled
 from .tikhonov import min_norm_solution, solve_normal_equations
@@ -69,8 +69,8 @@ class NoiseModel:
         over every noise level and alpha: None for worst-case noise, whose
         error has a closed form, else ``trials`` seeded directions,
         ``RANDOM_TRIALS`` by default; worst-case noise takes no ``trials``."""
-        if trials is not None and trials < 1:
-            raise ValueError("trials must be at least 1")
+        if trials is not None:
+            check_count("trials", trials)
         if self.kind == WORST_CASE_BASIS:
             if trials is not None:
                 raise ValueError("trials applies to random and in-range "

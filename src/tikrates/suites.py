@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._domain import check_count
 from .measures import (DiscreteMeasure, MeasurePremiseError, _cs_rows,
                        _split_rows, tail_integral_bound)
 
@@ -14,18 +15,13 @@ SPLIT_MAX_ATOMS = 6
 SPLIT_MAX_MASS = 4
 
 
-def _check_count(n) -> None:
-    if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("count must be at least 1, as an integer")
-
-
 def cs_bound_suite(count: int = 10000, seed: int = 0) -> dict:
     """Random (operator, v, w, rho, window) instances of the Cauchy-Schwarz
     measure bound.  Returns counters and the worst signed margin rhs - lhs.
     The draws go into padded stacks, sorted once, and through the kernel of
     ``cs_measure_bound`` at once; each measure keeps the atoms of non-zero
     mass, as ``operators.vector_measure`` does."""
-    _check_count(count)
+    check_count("count", count)
     rng = np.random.default_rng(seed)
     size, ab = np.empty(count, dtype=int), np.empty((count, 2))
     sig, vw = np.full((count, 24), np.inf), np.zeros((2, count, 24))
@@ -59,7 +55,7 @@ def tail_bound_suite(count: int = 2000, seed: int = 0) -> dict:
     instances drawn with an arbitrary constant that fails the premise are
     counted separately as rejected.
     """
-    _check_count(count)
+    check_count("count", count)
     rng = np.random.default_rng(seed)
     checked = rejected = violations = 0
     worst_ratio = np.inf

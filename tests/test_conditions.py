@@ -321,6 +321,28 @@ def test_non_finite_spectral_powers_refuse(name, n, seed, condition, message):
         _check(condition, inst, 1.9)
 
 
+@pytest.mark.parametrize("sigma, u, condition, nu, outcome", [
+    # lambda**1.03 is subnormal, so T / lambda**nu overflows to C = inf
+    ([1e-150] * 2, [0.75, 0.5], cond.SPECTRAL_TAIL, 1.03,
+     "certificate leaves the float range"),
+    # the split bound is infinite and the tail route has no finite C
+    ([1e-150] * 2, [0.75, 0.5], cond.SVI, 1.03, tk.INCONCLUSIVE),
+    # each term is finite, their sum is not
+    ([1e-77] * 10, [0.75] * 10, cond.STANDARD_SC, 2.0,
+     "sigma**(-2 nu) overflows"),
+])
+def test_exact_sections_certify_no_constant_past_the_float_range(
+        sigma, u, condition, nu, outcome):
+    # max|u+| lies in [1/2, 1), so the check reads u+ unscaled
+    op = tk.SpectralOperator.diagonal(sigma, truncated=False)
+    inst = SimpleNamespace(op=op, u_dagger=op.vector(u))
+    if outcome == tk.INCONCLUSIVE:
+        assert _check(condition, inst, nu).verdict == outcome
+    else:
+        with pytest.raises(ValueError, match=re.escape(outcome)):
+            _check(condition, inst, nu)
+
+
 @pytest.mark.parametrize("n, seed, nu", [(500, 2, 1.5), (1000, 0, 1.0),
                                          (1000, 0, 1.5)])
 def test_svi_skips_the_non_finite_routes_of_a_deep_spectrum(n, seed, nu):
@@ -800,7 +822,7 @@ def _grid_sections(draw):
     elif variant != "plain":
         u[:int(variant[4:])] = 0.0
     op = tk.SpectralOperator.diagonal(sigma)
-    return SimpleNamespace(op=op, u_dagger=op.vector(u))
+    return SimpleNamespace(op=op, u_dagger=op.vector(u), problem=(kind, s, t))
 
 
 @settings(max_examples=120, deadline=None)
@@ -862,6 +884,49 @@ def test_power_of_two_scales_of_the_solution_move_no_verdict(inst, condition,
                 assert rep.constants[key] == np.ldexp(base.constants[key], k)
 
 
+def _doubled(inst):
+    """Each singular value twice, with u+ / sqrt(2) on each copy: the same
+    spectral measure of u+ on twice the coordinates."""
+    op = tk.SpectralOperator.diagonal(np.repeat(inst.op.sigma, 2))
+    return SimpleNamespace(op=op, u_dagger=op.vector(
+        np.repeat(inst.u_dagger.coeffs, 2) / np.sqrt(2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=_grid_sections(),
+       condition=st.sampled_from([tk.STANDARD_SC, tk.SPECTRAL_TAIL]),
+       data=st.data())
+def test_repeated_singular_values_move_no_ssc_or_tail_verdict(inst, condition,
+                                                              data):
+    # both checks read depth in atoms, so a repeated singular value is one
+    # depth step and only the measure of u+ decides
+    params = data.draw(st.lists(st.sampled_from(PARAM_GRIDS[condition]),
+                                min_size=1, max_size=4, unique=True),
+                       label="params")
+    kind, a, b = inst.problem
+    doubled = _doubled(inst)
+    for p in params:
+        if (condition == tk.STANDARD_SC and kind == "power"
+                and round(2.0 * (a * p - b), 9) in (cond.POWER_CONVERGENT,
+                                                    cond.POWER_DIVERGENT)):
+            # ssc's terms k**(2 (a nu - b)) sit on a fit threshold, where
+            # the last bit of the fitted exponent decides on any section
+            continue
+        assert (_check(condition, doubled, p).verdict
+                == _check(condition, inst, p).verdict), p
+
+
+def test_ssc_counts_a_repeated_singular_value_as_one_depth_step():
+    k = np.arange(1.0, 61.0)
+    op = tk.SpectralOperator.diagonal(0.95 ** k)
+    inst = SimpleNamespace(op=op, u_dagger=op.vector(0.95 ** (k / 2.0)))
+    for section in (inst, _doubled(inst)):
+        rep = tk.check_standard_sc(section.op, section.u_dagger, 0.25)
+        assert rep.verdict == tk.CERTIFIED
+        assert rep.truncation == section.op.n
+        assert len(rep.diagnostics) == 60
+
+
 # Extremal t-family -----------------------------------------------------------
 
 
@@ -874,8 +939,8 @@ def _pow2_copy(d):
 def _explicit_family(probes, d, wpow):
     """A probe family holding the rows of ``probes``."""
     sq = probes ** 2
-    return cond._Family("explicit", np.arange(len(probes)), probes @ d,
-                        np.sqrt(sq.sum(axis=1)), np.sqrt(sq @ wpow),
+    arrays = probes @ d, np.sqrt(sq.sum(axis=1)), np.sqrt(sq @ wpow)
+    return cond._Family("explicit", np.arange(len(probes)), lambda: arrays,
                         ordered=False)
 
 

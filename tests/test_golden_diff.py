@@ -70,6 +70,17 @@ def test_a_file_on_one_side_only_is_structural(tmp_path, capsys):
     assert "gone.json: structural: only in A" in capsys.readouterr().out
 
 
+def test_a_file_only_in_b_is_added_and_not_structural(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "kept.json", {"x": 1})
+    _write(b, "kept.json", {"x": 1})
+    _write(b, "new.json", {"x": 2})
+    assert golden_diff.main([str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["new.json: added: only in B",
+                     "1 of 2 files differ, 0 with structural changes"]
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert golden_diff.main([str(tmp_path)]) == 2
     assert golden_diff.main([str(tmp_path), str(tmp_path / "missing")]) == 2

@@ -359,7 +359,7 @@ def test_infimum_rate_rejects_negative_or_nan_delta():
                                   tk.IN_RANGE])
 def test_infimum_rate_rejects_trials_below_one(kind, capsys):
     inst = tk.build("counter26", 60)
-    for trials in (0, -3):
+    for trials in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             infimum_rate(inst.op, inst.y, 1e-4, NoiseModel(kind=kind),
                          np.logspace(-9, -2, 10), trials)

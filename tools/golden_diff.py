@@ -9,8 +9,9 @@ error``.  Anything that is not a numeric move is a structural change and is
 printed as such: a changed string, bool or null, a key or column that
 appears or goes, a list or table of another length, a number that becomes
 a string (the CLI writes a non-finite float as ``"inf"`` or ``"nan"``), or a
-file that only one side has.  Exits 0 when nothing changed but numbers, 1 on
-any structural change, 2 on a usage error.
+file that only A has.  A file that only B has is an added invocation and is
+printed as added, not structural.  Exits 0 when nothing changed but numbers
+and added files, 1 on any structural change, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -116,9 +117,13 @@ def main(argv) -> int:
     names_b = {p.name for p in dir_b.iterdir() if p.is_file()}
     changed = broken = 0
     for name in sorted(names_a | names_b):
-        if name not in names_a or name not in names_b:
-            print(f"{name}: structural: only in {'A' if name in names_a else 'B'}")
+        if name not in names_b:
+            print(f"{name}: structural: only in A")
             changed, broken = changed + 1, broken + 1
+            continue
+        if name not in names_a:
+            print(f"{name}: added: only in B")
+            changed += 1
             continue
         a, b = dir_a / name, dir_b / name
         if a.read_bytes() == b.read_bytes():
