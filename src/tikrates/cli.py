@@ -219,6 +219,9 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_conformance(args) -> int:
+    if args.all and args.instance is not None:
+        raise ValueError("--instance does not apply with --all, which runs "
+                         "every named instance")
     names = list(INSTANCE_NAMES) if args.all else [args.instance]
     rows = []
     for name in names:

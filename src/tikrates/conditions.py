@@ -27,12 +27,13 @@ and ``Inconclusive`` is the honest default when a finite section cannot
 distinguish slow convergence from divergence.  The checks read a truncated
 section's index as depth and refuse one whose singular values increase.
 
-The variational checks scan deterministic probe families: ordered
-structured families, which carry the refutations, and the extremal
-t-family ``u+ / (sigma**(2 rho) + t)``, on which the pairing ratio behind
-``beta_lower`` and the ivi needed beta attain their suprema.  Each family
-is built on first read and kept, so a scan that refutes along an early
-family builds none of the later ones, the t-family included.
+The variational checks read deterministic probe families, each with one
+job: the extremal t-family ``u+ / (sigma**(2 rho) + t)`` carries every
+supremum (``beta_lower`` and the ivi needed beta), and the ordered
+structured families carry the refutations through a divergence trace
+along depth, which an exact section lacks, so it builds the t-family
+alone.  Each family is built on first read and kept, so a scan that
+refutes along an early family builds none of the later ones.
 
 Scale.  Every condition is positively homogeneous in the solution, so
 each check computes on one copy ``u+ * 2**-e`` only, e the ``math.frexp``
@@ -230,21 +231,26 @@ def _sum_family(label, index, d, w, wpow, total) -> _Family:
 @np.errstate(over="ignore", invalid="ignore")
 def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
                    *, seed: int = 0) -> list[_Family]:
-    """Deterministic structured probes, in order, then the extremal
-    t-family of :func:`_t_family`.
+    """On a truncated section the ordered structured probes, then the
+    extremal t-family of :func:`_t_family`; on an exact one the t-family.
 
-    Structured families carry the refutations, each some verdict no other
-    decides: basis directions, heads and suffixes of the solution, flat
-    heads, and heads and 4-, 8-, 16-wide windows of ``u+ / sigma**rho``.
-    The t-family carries the largest pairing ratio and ivi needed beta.
-    Each family builds its arrays on first read, so a scan that refutes
-    along an early family builds none after it.
+    The t-family carries every supremum: the largest pairing ratio and ivi
+    needed beta.  Structured families carry the refutations, each some
+    verdict no other decides, through a divergence trace along depth:
+    basis directions, heads and suffixes of the solution, flat heads, and
+    heads and 4-, 8-, 16-wide windows of ``u+ / sigma**rho``.  Each family
+    builds its arrays on first read, so a scan that refutes along an early
+    family builds none after it.
 
     Every family is built from the scaled copy of the solution that the
     checks read, and is deterministic.  ``seed`` is accepted and ignored: the
     benchmark's scaling sweep (``perfbench/sweep.py``) still passes it.
     """
     d = _solution(op, u_dagger)[0].coeffs
+    t_fam = _Family("t_family", np.arange(T_GRID_POINTS + 2),
+                    lambda: _t_family(op, d, rho), ordered=False)
+    if not op.truncated:
+        return [t_fam]
     sig = op.sigma
     n = op.n
     m_index = np.arange(1, n + 1)
@@ -268,9 +274,7 @@ def probe_families(op: SpectralOperator, u_dagger: CoeffVector, rho: float,
     # suffix copies of the solution
     fams.append(_sum_family("tail", m_index, d, d, wpow,
                             lambda v: np.cumsum(v[::-1])[::-1]))
-    fams.append(_Family("t_family", np.arange(T_GRID_POINTS + 2),
-                        lambda: _t_family(op, d, rho), ordered=False))
-    return fams
+    return [*fams, t_fam]
 
 
 def _t_family(op: SpectralOperator, d: np.ndarray, rho: float):
@@ -492,11 +496,13 @@ def check_standard_sc(op: SpectralOperator, u_dagger: CoeffVector,
                       witness={"kind": "partial_sums", "S_N": total,
                                "sum_slope": s_slope})
     if pow_resid <= POWER_FIT_RESID:
-        if pow_slope >= POWER_DIVERGENT and growing:
+        # within 1e-9 of a threshold counts as its convergent side
+        expo = pow_slope - 1e-9
+        if expo >= POWER_DIVERGENT and growing:
             return report(REFUTED_AT_N, {"omega_norm_partial": omega, **fit_stats},
                           witness={"kind": "power_law_terms",
                                    "exponent": pow_slope})
-        if pow_slope <= POWER_CONVERGENT:
+        if expo <= POWER_CONVERGENT:
             tail_bound = float(t_w[pos][-1] * n / (-pow_slope - 1.0))
             return report(CERTIFIED, {"omega_norm": omega,
                                       "tail_estimate": tail_bound, **fit_stats})
@@ -613,27 +619,6 @@ def _split_upper_bound(op, d, nu, rho):
     return h[::-1]
 
 
-def _worst_probe(fams, score, read_traces):
-    """One scan of the probe families for the largest ``score(fam)`` entry.
-
-    Returns ``(best, fam, k, scores, slope)``: the largest positive score
-    (else 0, with ``fam`` None), located at ``fam.index[k]``, and ``slope``
-    None.  With ``read_traces`` the scan stops at the first ordered family
-    whose scores diverge and returns that family's maximum and trace slope.
-    """
-    best, top = 0.0, (None, 0, None)
-    for fam in fams:
-        scores = score(fam)
-        k = int(np.argmax(scores))
-        if scores[k] > best:
-            best, top = float(scores[k]), (fam, k, scores)
-        if fam.ordered and read_traces:
-            div, slope = _divergent(fam.index, scores)
-            if div:
-                return best, fam, k, scores, slope
-    return (best, *top, None)
-
-
 def _witness(fam, k, **score) -> dict:
     return {"family": fam.label, "index": int(fam.index[k]), **score,
             "ip": float(fam.ip[k]), "norm": float(fam.nrm[k]),
@@ -657,20 +642,27 @@ def _check_pairing_vi(op, u_dagger, nu, rho, condition, fams):
         return ConditionReport(condition, nu, CERTIFIED,
                                {"beta": 0.0, "beta_lower": 0.0}, [], n)
 
-    # trace growth only signifies divergence on a truncated section; an
-    # exact finite problem always has a finite supremum
-    beta_lower, fam, k, ratios, slope = _worst_probe(
-        fams, lambda f: _pairing_ratios(f, nu / rho), op.truncated)
-    if slope is not None:
-        return ConditionReport(
-            condition, nu, REFUTED_AT_N,
-            {"beta_lower": beta_lower, "trace_slope": slope},
-            _decimate(fam.index, ratios), n,
-            witness=_witness(fam, k, ratio=float(ratios[k])),
-            notes=("witness ratios grow without bound along the "
-                   f"family {fam.label!r}",))
-    lower_witness = None if fam is None else {
-        "family": fam.label, "index": int(fam.index[k]), "ratio": beta_lower}
+    # beta_lower is the largest positive ratio; the scan stops at the first
+    # ordered family whose ratios diverge (only a truncated section has one)
+    beta_lower, lower_witness = 0.0, None
+    for fam in fams:
+        ratios = _pairing_ratios(fam, nu / rho)
+        k = int(np.argmax(ratios))
+        if ratios[k] > beta_lower:
+            beta_lower = float(ratios[k])
+            lower_witness = {"family": fam.label, "index": int(fam.index[k]),
+                             "ratio": beta_lower}
+        if not fam.ordered:
+            continue
+        div, slope = _divergent(fam.index, ratios)
+        if div:
+            return ConditionReport(
+                condition, nu, REFUTED_AT_N,
+                {"beta_lower": beta_lower, "trace_slope": slope},
+                _decimate(fam.index, ratios), n,
+                witness=_witness(fam, k, ratio=float(ratios[k])),
+                notes=("witness ratios grow without bound along the "
+                       f"family {fam.label!r}",))
 
     h = _split_upper_bound(op, d, nu, rho)
     beta_direct = float(np.max(h))
@@ -719,10 +711,11 @@ def check_hvi(op: SpectralOperator, u_dagger: CoeffVector,
 
     The reported ``beta`` is the pairing-form constant, certified through
     the half-mass split bound where it stands, else the spectral-tail route.
-    ``beta_lower`` is the largest ratio on the probe families.  The
-    supremum of the ratio lies on the curve of the t-family, so unless a
-    structured family refutes first, ``beta_lower`` is that supremum up to
-    the t grid's spacing (within about 1e-4 relative).
+    ``beta_lower`` is the largest ratio on the probe families, only the
+    t-family on an exact section.  The supremum of the ratio lies on the
+    t-family's curve, so unless a structured family refutes first,
+    ``beta_lower`` is that supremum up to the t grid's spacing (within
+    about 1e-4 relative).
     """
     nu = in_interval("nu", nu, "(0, 1]")
     v, e = _solution(op, u_dagger)
@@ -782,10 +775,11 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     so is this one for any constants, with its witness.  A constant left
     ``None`` is derived through :func:`ivi_from_hvi_report` when it
     certifies, else ``beta = 4 (1 + ||u+||)`` with ``gamma = 0`` at ``mu =
-    1`` and ``1/2`` below.  Otherwise every probe is swept over all positive
-    scales (in closed form; the inequality is not scale-invariant), and the
-    verdict is ``RefutedAtN`` when some probe needs a larger beta than the
-    constants give.
+    1`` and ``1/2`` below.  Otherwise every probe of the t-family, on which
+    the needed beta peaks, is swept over all positive scales (in closed
+    form; the inequality is not scale-invariant), and the verdict is
+    ``RefutedAtN`` when some probe needs a larger beta than the constants
+    give.  A chained beta that underflows at the scale of u+ is refused.
     """
     mu = in_interval("mu", mu, "(0, 1]")
     v, e = _solution(op, u_dagger)
@@ -802,9 +796,12 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
     # beta on the copy, where the needed beta is read; a chained one as the
     # copy's hvi gives it, since its restore can leave the float range
     beta_s = ivi_from_hvi_report(hvi)[1] if chained else _scale(beta, -deg, e)
+    if chained and beta == 0.0 < beta_s:
+        raise ValueError("the ivi certificate leaves the float range at this "
+                         "scale of the solution")
     n = op.n
     # beta is in u+'s units already; a refutation's diagnostics are the
-    # hvi's pairing ratios, and otherwise the needed betas
+    # hvi's pairing ratios, and otherwise none
     if hvi.verdict == REFUTED_AT_N:
         return _restored(ConditionReport(
             IVI, mu, REFUTED_AT_N,
@@ -816,13 +813,12 @@ def check_ivi(op: SpectralOperator, u_dagger: CoeffVector, mu: float,
                    f"{hvi.witness['family']!r}; no constants can hold",)),
             e, 1.0, beta=0.0)
 
-    worst_need, fam, k, need, _ = _worst_probe(
-        fams, lambda f: _needed_beta(f, mu, gamma), read_traces=False)
+    need = _needed_beta(fams[-1], mu, gamma)  # on the t-family, the last
+    k = int(np.argmax(need))
+    worst_need = float(need[k])
     refuted = worst_need > beta_s * (1.0 + REL_SLACK) + 1e-12
     return _restored(ConditionReport(
         IVI, mu, REFUTED_AT_N if refuted else CERTIFIED,
-        {"beta": beta, "gamma": gamma, "needed_beta": worst_need},
-        _decimate(fam.index, need) if fam is not None and fam.ordered else [],
-        n, witness=None if fam is None else _witness(
-            fam, k, needed_beta=worst_need)), e, deg, beta=0.0,
-        needed_beta=deg)
+        {"beta": beta, "gamma": gamma, "needed_beta": worst_need}, [], n,
+        witness=_witness(fams[-1], k, needed_beta=worst_need)
+        if worst_need > 0.0 else None), e, deg, beta=0.0, needed_beta=deg)

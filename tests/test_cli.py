@@ -115,6 +115,14 @@ def test_conformance_requires_instance_or_all(capsys):
     assert main(["conformance"]) == 2
 
 
+def test_conformance_all_refuses_an_instance(capsys):
+    # --all runs every named instance, so an --instance would go unread
+    assert main(["conformance", "--all", "--instance", "counter26"]) == 2
+    captured = capsys.readouterr()
+    assert "--instance" in captured.err
+    assert captured.out == ""
+
+
 def test_lemmas_quick_run(capsys):
     assert main(["lemmas", "--count", "300", "--no-timestamp"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -715,6 +715,16 @@ def test_scaling_invariance_of_verdicts_and_constants():
                         abs=0.0), (*where, key)
 
 
+def test_chained_ivi_certificate_that_underflows_refuses():
+    # the chained beta has degree 3/2 in u+: near 1e-450 at u+ * 1e-300
+    inst = tk.build("counter26", 60)
+    assert tk.check_ivi(inst.op, inst.u_dagger, 0.5).verdict == tk.CERTIFIED
+    tiny = inst.op.vector(1e-300 * inst.u_dagger.coeffs)
+    with pytest.raises(ValueError, match="the ivi certificate leaves the "
+                       "float range at this scale of the solution"):
+        tk.check_ivi(inst.op, tiny, 0.5)
+
+
 def test_closed_range_equivalence_on_exact_instances():
     for seed in range(6):
         inst = tk.build("finite_rank", 32, seed=seed)
@@ -903,17 +913,25 @@ def test_repeated_singular_values_move_no_ssc_or_tail_verdict(inst, condition,
     params = data.draw(st.lists(st.sampled_from(PARAM_GRIDS[condition]),
                                 min_size=1, max_size=4, unique=True),
                        label="params")
-    kind, a, b = inst.problem
     doubled = _doubled(inst)
     for p in params:
-        if (condition == tk.STANDARD_SC and kind == "power"
-                and round(2.0 * (a * p - b), 9) in (cond.POWER_CONVERGENT,
-                                                    cond.POWER_DIVERGENT)):
-            # ssc's terms k**(2 (a nu - b)) sit on a fit threshold, where
-            # the last bit of the fitted exponent decides on any section
-            continue
         assert (_check(condition, doubled, p).verdict
                 == _check(condition, inst, p).verdict), p
+
+
+def test_ssc_term_exponent_on_the_convergent_threshold_certifies():
+    # terms k**(2 (0.5 * 0.35 - 0.75)) = k**-1.15 sit on POWER_CONVERGENT;
+    # the fitted exponent differs from it in its last bits only, and by
+    # opposite signs on the section and on its doubled twin
+    k = np.arange(1.0, 251.0)
+    op = tk.SpectralOperator.diagonal(k ** -0.5)
+    inst = SimpleNamespace(op=op, u_dagger=op.vector(
+        np.where(k > 10, k ** -0.75, 0.0)))
+    for section in (inst, _doubled(inst)):
+        rep = tk.check_standard_sc(section.op, section.u_dagger, 0.35)
+        assert rep.verdict == tk.CERTIFIED
+        assert rep.constants["power_exponent"] == pytest.approx(
+            cond.POWER_CONVERGENT, abs=1e-12)
 
 
 def test_ssc_counts_a_repeated_singular_value_as_one_depth_step():
@@ -950,6 +968,24 @@ def _t_curve(d, wpow, tau):
     return u / np.abs(u).max(axis=1, keepdims=True)
 
 
+def _curve_supremum(d, wpow, score):
+    """The best ``score`` on a 10^5-point scan of the curve ``u+ / (wpow +
+    t)`` with its ends ``u+ / wpow`` and ``u+``, and the supremum on the
+    curve: that scan refined around its best point."""
+    lo, hi = np.log(wpow.min() / 1e3), np.log(wpow.max() * 1e3)
+    tau = np.linspace(lo, hi, 100_000)
+    scan = score(_explicit_family(np.vstack(
+        [d / wpow, _t_curve(d, wpow, tau), d]), d, wpow))
+    scan_best = sup = scan.max()
+    k = int(np.argmax(scan)) - 1
+    if 0 <= k < tau.size:
+        h = tau[1] - tau[0]
+        fine = np.linspace(tau[k] - h, tau[k] + h, 2001)
+        sup = max(sup, score(_explicit_family(
+            _t_curve(d, wpow, fine), d, wpow)).max())
+    return scan_best, sup
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_t_family_attains_the_supremum_of_random_probes(seed):
@@ -975,24 +1011,47 @@ def test_t_family_attains_the_supremum_of_random_probes(seed):
         t_fam = cond.probe_families(op, u, rho)[-1]
         assert t_fam.label == "t_family"
         grid_best = score(t_fam).max()
-        lo, hi = np.log(wpow.min() / 1e3), np.log(wpow.max() * 1e3)
-        tau = np.linspace(lo, hi, 100_000)
-        scan = score(_explicit_family(np.vstack(
-            [d / wpow, _t_curve(d, wpow, tau), d]), d, wpow))
-        scan_best = scan.max()
-        # the supremum on the curve: the scan refined around its best point
-        k = int(np.argmax(scan)) - 1
-        sup = scan_best
-        if 0 <= k < tau.size:
-            h = tau[1] - tau[0]
-            fine = np.linspace(tau[k] - h, tau[k] + h, 2001)
-            sup = max(sup, score(_explicit_family(
-                _t_curve(d, wpow, fine), d, wpow)).max())
+        scan_best, sup = _curve_supremum(d, wpow, score)
         rand_best = score(_explicit_family(random, d, wpow)).max()
         assert rand_best <= sup * (1.0 + 1e-9)
         assert grid_best <= sup * (1.0 + 1e-9)
         assert grid_best >= sup * (1.0 - 1e-4)
         assert abs(grid_best - scan_best) <= 1e-4 * scan_best
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_no_structured_family_beats_the_t_family(seed):
+    """On small truncated sections no structured family's pairing ratio or
+    needed beta beats the supremum on the curve ``u+ / (w + t)``, which the
+    t grid reads within 1e-4: a supremum read on the t-family alone misses
+    no structured probe."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25))
+    sigma = np.sort(10.0 ** rng.uniform(-3.0, 0.0, n))[::-1]
+    d = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 0.0, n)
+    zero = rng.uniform(size=n) < 0.2
+    zero[rng.integers(n)] = False  # some mass is left
+    d[zero] = 0.0
+    op = tk.SpectralOperator.diagonal(sigma)
+    u = op.vector(d)
+    d = _pow2_copy(d)  # the copy the families are built from
+    nu, mu, gamma = rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.99), \
+        rng.uniform(0.01, 0.99)
+    cases = ((1.0, lambda f: cond._pairing_ratios(f, nu)),        # hvi
+             (2.0, lambda f: cond._pairing_ratios(f, nu)),        # svi
+             (1.0, lambda f: cond._needed_beta(f, 1.0, 0.0)),     # ivi, mu 1
+             (1.0, lambda f: cond._needed_beta(f, mu, gamma)))    # ivi, mu < 1
+    for rho, score in cases:
+        *structured, t_fam = cond.probe_families(op, u, rho)
+        assert t_fam.label == "t_family"
+        assert all(f.ordered for f in structured)
+        sup = _curve_supremum(d, sigma ** (2.0 * rho), score)[1]
+        grid_best = score(t_fam).max()
+        for fam in structured:
+            best = score(fam).max()
+            assert best <= sup * (1.0 + 1e-9), fam.label
+            assert best <= grid_best * (1.0 + 1e-4), fam.label
 
 
 # Probe stream -----------------------------------------------------------------
@@ -1049,6 +1108,11 @@ def test_probe_families_are_the_documented_ones():
     assert labels == ["basis", "head", "head_flat", "head_inv_weight",
                       "window4_inv_weight", "window8_inv_weight",
                       "window16_inv_weight", "tail", "t_family"]
+    # an exact section has no depth, so no divergence trace to read
+    inst = tk.build("identity", 60)
+    assert not inst.op.truncated
+    fams = cond.probe_families(inst.op, inst.u_dagger, 1.0)
+    assert [f.label for f in fams] == ["t_family"]
 
 
 def _without_every_third(u):

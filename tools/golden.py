@@ -2,7 +2,7 @@
 
 Usage: ``python3 tools/golden.py OUTDIR``
 
-Writes 158 files into OUTDIR: ``conformance --all``; ``lemmas --count
+Writes 164 files into OUTDIR: ``conformance --all``; ``lemmas --count
 2000``; ``check`` on every documented (instance, condition, parameter) at
 n = 60; every invocation of the three benchmark workloads in
 ``perfbench/workloads.py`` at seed 1 (deep checks at n = 10^4 and 10^5,
@@ -16,7 +16,10 @@ matrix, each with ambient data and each run through
 noisy``, where two of the diagonal sections hold the only svi refutations
 along the window probe families (see ``OPERATOR_FILES``); ``check --condition
 ivi --mu 1.0`` with one constant supplied and the other derived, on identity
-with ``--gamma 0.25`` and on harmonic4 with ``--beta 14``; and, on every
+with ``--gamma 0.25`` and on harmonic4 with ``--beta 14``; ``check
+--condition ivi --mu 0.6 --beta 2 --gamma 0.5`` on counter26, harmonic4,
+remark_nu_gap, random_diag and the two matrix files, where the needed beta
+peaks at an interior point of the t-family; and, on every
 named instance, ``rates --mode noisy --mu 1.0`` as JSON, as CSV and as CSV
 under ``--noise random --trials 5``; ``rates --mode infimum`` plain, with
 ``--noise in-range`` and with ``--delta 0``; ``check --condition svi --nu
@@ -84,6 +87,10 @@ OPERATOR_FILES = {
 # ivi checks with one constant supplied and the other derived
 ONE_CONSTANT_IVI = (("identity", "--gamma", "0.25"),
                     ("harmonic4", "--beta", "14"))
+# ivi checks at mu = 0.6 with both constants given, whose needed beta is
+# read at an interior optimum along the t-family
+INTERIOR_IVI = ("counter26", "harmonic4", "remark_nu_gap", "random_diag",
+                "op_matrix", "op_square")
 
 
 def invocations(outdir: Path) -> list:
@@ -117,6 +124,12 @@ def invocations(outdir: Path) -> list:
             runs.append(["check", "--instance", str(path), "--condition",
                          condition, "--nu", "1.0", "--output",
                          str(outdir / f"check_{stem}_{condition}_1.0.json")])
+    for name in INTERIOR_IVI:
+        instance = (str(outdir / f"{name}.json") if name in OPERATOR_FILES
+                    else name)
+        runs.append(["check", "--instance", instance, "--condition", "ivi",
+                     "--mu", "0.6", "--beta", "2", "--gamma", "0.5",
+                     "--output", str(outdir / f"check_{name}_ivi_mu0.6.json")])
     for name, flag, value in ONE_CONSTANT_IVI:
         out = outdir / f"check_{name}_ivi_{flag[2:]}{value}.json"
         runs.append(["check", "--instance", name, "--n", str(N),
